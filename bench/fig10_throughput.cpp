@@ -57,8 +57,8 @@ int main(int argc, char** argv) {
       config.extra = contender.extra;
       const GenResult result = contender.gen->generate(
           seed.graph, seed.profile, cluster, config);
-      // Structure time includes graph materialization; the property stage
-      // is the separately-metered assign_properties pass.
+      // Structure time includes the store emission and seal; the property
+      // stage is the separately-metered store:props pass.
       const double total = result.metrics.simulated_seconds;
       const double structure = total - result.property_seconds;
       const double edges = static_cast<double>(result.graph.num_edges());

@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -94,10 +95,13 @@ struct StoreGenResult {
 };
 
 /// Polymorphic generator interface: one implementation per algorithm
-/// (PGPBA, PGSK, the §II baselines). Implementations must be deterministic
-/// for a fixed (seed graph, profile, config) — asserted by the registry
-/// test — and run all booked work through the supplied ClusterSim so
-/// metrics and trace spans attribute correctly.
+/// (PGPBA, PGSK, the fast samplers, the §II baselines). Each implements a
+/// single pipeline, generate_into, that streams the graph into a GraphStore;
+/// generate() is the MemoryStore capture of that pipeline. Implementations
+/// must be deterministic for a fixed (seed graph, profile, config) — the
+/// stored bytes may not depend on the pool size or the store backend — and
+/// run all booked work through the supplied ClusterSim so metrics and trace
+/// spans attribute correctly.
 class Generator {
  public:
   virtual ~Generator() = default;
@@ -109,21 +113,23 @@ class Generator {
   /// understands, in display order.
   [[nodiscard]] virtual std::vector<OptionSpec> options() const { return {}; }
 
-  [[nodiscard]] virtual GenResult generate(const PropertyGraph& seed,
-                                           const SeedProfile& profile,
-                                           ClusterSim& cluster,
-                                           const GenConfig& config) const = 0;
-
-  /// Sink-based run: emits the graph into `store` (begin/put/finish) instead
-  /// of returning it. The base implementation runs generate() and replays
-  /// the in-RAM result chunk-by-chunk under store:replay spans; the fast
-  /// samplers override it to stream shard-sized chunks directly, keeping
-  /// resident memory bounded. For a MemoryStore the stored graph is
-  /// byte-identical to GenResult.graph.
+  /// Emits the graph into `store` (begin / put chunks / finish).
   [[nodiscard]] virtual StoreGenResult generate_into(
       const PropertyGraph& seed, const SeedProfile& profile,
-      ClusterSim& cluster, const GenConfig& config, GraphStore& store) const;
+      ClusterSim& cluster, const GenConfig& config,
+      GraphStore& store) const = 0;
+
+  /// In-RAM run: generate_into captured by a MemoryStore.
+  [[nodiscard]] GenResult generate(const PropertyGraph& seed,
+                                   const SeedProfile& profile,
+                                   ClusterSim& cluster,
+                                   const GenConfig& config) const;
 };
+
+/// Runs a sink pipeline into a MemoryStore and returns the captured graph
+/// with the run's stats — the in-RAM entry point of every generator.
+[[nodiscard]] GenResult capture_in_memory(
+    const std::function<StoreGenResult(GraphStore&)>& run);
 
 /// Adds a generator to the process-wide registry; replaces an existing
 /// entry with the same name. Builtins are registered on first lookup.

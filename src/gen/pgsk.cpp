@@ -8,7 +8,6 @@
 #include "gen/fast_samplers.hpp"
 #include "gen/sink_stages.hpp"
 #include "graph/algorithms.hpp"
-#include "mr/dataset.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "store/external_sort.hpp"
@@ -126,26 +125,6 @@ PgskInitiatorPlan pgsk_fit_and_plan(const PropertyGraph& simple,
   return result;
 }
 
-Dataset<Edge> pgsk_re_multiply(const Dataset<Edge>& kron_edges,
-                               const SeedProfile& profile, std::uint64_t seed,
-                               TraceRecorder* trace) {
-  // Lines 8-12: duplicate each edge by a draw from the out-degree
-  // distribution (restores multigraph flow multiplicity). Sink-based so no
-  // per-edge vector<Edge> is allocated just to be spliced and freed.
-  const std::uint64_t dup_seed = seed ^ 0xd0b1e5ULL;
-  PhaseScope phase(trace, "re-multiply");
-  return kron_edges.flat_map_into<Edge>(
-      [&profile, dup_seed](const Edge& e, const auto& emit) {
-        // Rng per element derived from the edge identity: deterministic and
-        // thread-safe regardless of partition scheduling.
-        Rng rng(dup_seed ^ edge_key(e));
-        auto copies =
-            static_cast<std::uint64_t>(profile.out_degree().sample(rng));
-        copies = std::max<std::uint64_t>(1, copies);
-        for (std::uint64_t c = 0; c < copies; ++c) emit(e);
-      });
-}
-
 namespace {
 
 /// Domain separator for the exact recursive-descent placement streams (so
@@ -230,9 +209,7 @@ StoreGenResult pgsk_generate_into(const PropertyGraph& seed_graph,
   // Line 7: recursive-descent expansion with distinct() — streamed. Each
   // round's placements regenerate from per-chunk counter streams, dedup
   // through the budgeted external-sort distinct, and the ascending sorted-
-  // unique key order is the canonical edge order (the classic path wraps
-  // this function over a MemoryStore, so there is no second ordering to
-  // drift from).
+  // unique key order is the canonical edge order.
   CSB_CHECK_MSG(fitted.plan.k <= 32,
                 "streamed exact PGSK packs endpoints into 64-bit keys "
                 "(k <= 32)");
@@ -365,42 +342,21 @@ StoreGenResult pgsk_generate_into(const PropertyGraph& seed_graph,
       cluster.run_stage("store:emit", std::move(tasks));
     }
   }
-  result.structure_seconds = cluster.metrics().simulated_seconds;
-
-  // Lines 13-18: property sampling, chunked on the shared counter geometry.
-  if (options.with_properties) {
-    const double before = cluster.metrics().simulated_seconds;
-    PhaseScope phase(trace, "properties");
-    run_property_stage(store, profile, cluster, options.seed ^ 0xbeefULL,
-                       total_edges);
-    result.property_seconds = cluster.metrics().simulated_seconds - before;
-  }
-  {
-    PhaseScope phase(trace, "store");
-    cluster.run_serial("store:finalize", [&] { store.finish(); });
-  }
-  result.metrics = cluster.metrics();
   result.vertices = n;
   result.edges = total_edges;
+
+  // Lines 13-18: property sampling, chunked on the shared counter geometry.
+  finish_sink_pipeline(store, profile, cluster, options.with_properties,
+                       options.seed ^ 0xbeefULL, result);
   return result;
 }
 
 GenResult pgsk_generate(const PropertyGraph& seed_graph,
                         const SeedProfile& profile, ClusterSim& cluster,
                         const PgskOptions& options) {
-  // The in-RAM result is the streamed pipeline captured by a MemoryStore —
-  // one source of truth, so the sink path's byte-identity oracle is this
-  // function itself.
-  MemoryStore store;
-  const StoreGenResult streamed =
-      pgsk_generate_into(seed_graph, profile, cluster, options, store);
-  GenResult result;
-  result.graph = store.take_graph();
-  result.metrics = streamed.metrics;
-  result.structure_seconds = streamed.structure_seconds;
-  result.property_seconds = streamed.property_seconds;
-  result.iterations = streamed.iterations;
-  return result;
+  return capture_in_memory([&](GraphStore& store) {
+    return pgsk_generate_into(seed_graph, profile, cluster, options, store);
+  });
 }
 
 }  // namespace csb

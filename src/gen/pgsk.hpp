@@ -17,8 +17,6 @@
 
 #include "gen/generator.hpp"
 #include "gen/kronfit.hpp"
-#include "mr/dataset.hpp"
-#include "obs/trace.hpp"
 #include "seed/seed.hpp"
 
 namespace csb {
@@ -103,12 +101,5 @@ PgskInitiatorPlan pgsk_fit_and_plan(const PropertyGraph& simple,
                                     ClusterSim& cluster,
                                     const KronFitOptions& fit,
                                     const PgskSizing& sizing);
-
-/// Lines 8-12: duplicate every placed edge by a per-edge draw from the seed
-/// out-degree distribution (books the "re-multiply" phase). Deterministic:
-/// the per-edge Rng is derived from the edge identity, not the partition.
-Dataset<Edge> pgsk_re_multiply(const Dataset<Edge>& kron_edges,
-                               const SeedProfile& profile, std::uint64_t seed,
-                               TraceRecorder* trace);
 
 }  // namespace csb

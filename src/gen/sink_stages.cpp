@@ -5,15 +5,18 @@
 #include <vector>
 
 #include "gen/properties.hpp"
+#include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "util/random.hpp"
 
 namespace csb {
 
 namespace {
 
-/// Edges per emit task when streaming a Dataset partition — matches the
-/// replay chunking so sink backends see the same write granularity.
-constexpr std::size_t kDatasetEmitChunk = 64 * 1024;
+/// Edges per emit task when streaming a Dataset partition or a column pair
+/// — matches the replay chunking so sink backends see the same write
+/// granularity.
+constexpr std::size_t kEmitChunk = 64 * 1024;
 
 }  // namespace
 
@@ -55,6 +58,9 @@ void run_property_stage(GraphStore& store, const SeedProfile& profile,
     });
   }
   cluster.run_stage("store:props", std::move(tasks));
+  static Counter& sampled =
+      MetricsRegistry::instance().counter("gen.properties_sampled");
+  sampled.add(total_edges);
 }
 
 void emit_dataset_into(const Dataset<Edge>& edges, GraphStore& store,
@@ -68,7 +74,7 @@ void emit_dataset_into(const Dataset<Edge>& edges, GraphStore& store,
   std::vector<std::function<void()>> tasks;
   for (std::size_t p = 0; p < edges.num_partitions(); ++p) {
     const std::vector<Edge>& part = edges.partition(p);
-    const auto chunks = make_fixed_chunks(0, part.size(), kDatasetEmitChunk);
+    const auto chunks = make_fixed_chunks(0, part.size(), kEmitChunk);
     for (const ChunkRange& chunk : chunks) {
       tasks.push_back([&store, &part, base = offsets[p], chunk] {
         emit_edge_chunk(
@@ -79,6 +85,41 @@ void emit_dataset_into(const Dataset<Edge>& edges, GraphStore& store,
     }
   }
   cluster.run_stage("store:emit", std::move(tasks));
+}
+
+void emit_columns_into(std::span<const VertexId> src,
+                       std::span<const VertexId> dst, GraphStore& store,
+                       ClusterSim& cluster) {
+  std::vector<std::function<void()>> tasks;
+  for (const ChunkRange& chunk : make_fixed_chunks(0, src.size(), kEmitChunk)) {
+    const std::size_t size = chunk.end - chunk.begin;
+    tasks.push_back([&store, src, dst, chunk, size] {
+      store.put_edges(chunk.begin, src.subspan(chunk.begin, size),
+                      dst.subspan(chunk.begin, size));
+    });
+  }
+  cluster.run_stage("store:emit", std::move(tasks));
+}
+
+void finish_sink_pipeline(GraphStore& store, const SeedProfile& profile,
+                          ClusterSim& cluster, bool with_properties,
+                          std::uint64_t prop_seed, StoreGenResult& result) {
+  TraceRecorder* const trace = cluster.trace();
+  result.structure_seconds = cluster.metrics().simulated_seconds;
+  if (with_properties) {
+    PhaseScope phase(trace, "properties");
+    run_property_stage(store, profile, cluster, prop_seed, result.edges);
+    result.property_seconds =
+        cluster.metrics().simulated_seconds - result.structure_seconds;
+  }
+  {
+    PhaseScope phase(trace, "store");
+    cluster.run_serial("store:finalize", [&] { store.finish(); });
+  }
+  static Counter& materialized =
+      MetricsRegistry::instance().counter("gen.edges_materialized");
+  materialized.add(result.edges);
+  result.metrics = cluster.metrics();
 }
 
 }  // namespace csb

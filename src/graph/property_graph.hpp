@@ -108,8 +108,8 @@ class PropertyGraph {
 
   /// Attaches property columns WITHOUT initializing their contents (O(1)
   /// per element instead of a full-column write): every row is
-  /// indeterminate until overwritten. Only for callers that immediately
-  /// fill all rows — the generators' assign_properties stage does.
+  /// indeterminate until overwritten. Only for callers that fill all rows
+  /// before reading any — MemoryStore does, chunk by chunk.
   void ensure_properties_for_overwrite();
 
   /// Drops all property columns, leaving the bare structure (used by PGSK's
@@ -155,6 +155,10 @@ class PropertyGraph {
   friend bool operator==(const PropertyGraph&, const PropertyGraph&) = default;
 
  private:
+  // The generators' in-RAM sink writes its offset-addressed chunks straight
+  // into the final columns; this is its only write access.
+  friend class MemoryStore;
+
   EdgeId check(EdgeId e) const {
     CSB_CHECK_MSG(e < src_.size(), "edge id out of range");
     return e;

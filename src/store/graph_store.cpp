@@ -47,9 +47,8 @@ PropertyRowsView PropertyRowsBuffer::view() const noexcept {
 
 namespace {
 
-template <typename T>
-void copy_at(std::vector<T>& column, std::uint64_t first,
-             std::span<const T> values) {
+template <typename Column, typename T>
+void copy_at(Column& column, std::uint64_t first, std::span<const T> values) {
   std::copy(values.begin(), values.end(), column.begin() + first);
 }
 
@@ -59,19 +58,13 @@ void MemoryStore::begin(const StoreHeader& header) {
   CSB_CHECK_MSG(!begun_, "MemoryStore::begin called twice");
   begun_ = true;
   header_ = header;
-  src_.resize(header.edges);
-  dst_.resize(header.edges);
-  if (header.with_properties) {
-    props_.protocol.resize(header.edges);
-    props_.src_port.resize(header.edges);
-    props_.dst_port.resize(header.edges);
-    props_.duration_ms.resize(header.edges);
-    props_.out_bytes.resize(header.edges);
-    props_.in_bytes.resize(header.edges);
-    props_.out_pkts.resize(header.edges);
-    props_.in_pkts.resize(header.edges);
-    props_.state.resize(header.edges);
-  }
+  // The chunks land directly in the final columns: endpoints are allocated
+  // (zeroed) here, property columns are attached for overwrite, so finish()
+  // has nothing left to copy.
+  graph_ = PropertyGraph(header.vertices);
+  graph_.src_.resize(header.edges);
+  graph_.dst_.resize(header.edges);
+  if (header.with_properties) graph_.ensure_properties_for_overwrite();
 }
 
 void MemoryStore::put_edges(std::uint64_t first_edge,
@@ -81,8 +74,18 @@ void MemoryStore::put_edges(std::uint64_t first_edge,
   CSB_CHECK_MSG(src.size() == dst.size(), "endpoint spans must align");
   CSB_CHECK_MSG(first_edge + src.size() <= header_.edges,
                 "edge chunk exceeds the announced edge count");
-  copy_at(src_, first_edge, src);
-  copy_at(dst_, first_edge, dst);
+  // The endpoint check runs per chunk inside the caller's task, keeping the
+  // O(|E|) scan off the driver.
+  VertexId* const out_src = graph_.src_.data() + first_edge;
+  VertexId* const out_dst = graph_.dst_.data() + first_edge;
+  VertexId max_seen = 0;
+  for (std::size_t i = 0; i < src.size(); ++i) {
+    out_src[i] = src[i];
+    out_dst[i] = dst[i];
+    max_seen = std::max({max_seen, src[i], dst[i]});
+  }
+  CSB_CHECK_MSG(src.empty() || max_seen < header_.vertices,
+                "edge endpoints must be existing vertices");
 }
 
 void MemoryStore::put_properties(std::uint64_t first_edge,
@@ -92,44 +95,20 @@ void MemoryStore::put_properties(std::uint64_t first_edge,
                 "put_properties on a structure-only store");
   CSB_CHECK_MSG(first_edge + rows.size() <= header_.edges,
                 "property chunk exceeds the announced edge count");
-  copy_at(props_.protocol, first_edge, rows.protocol);
-  copy_at(props_.src_port, first_edge, rows.src_port);
-  copy_at(props_.dst_port, first_edge, rows.dst_port);
-  copy_at(props_.duration_ms, first_edge, rows.duration_ms);
-  copy_at(props_.out_bytes, first_edge, rows.out_bytes);
-  copy_at(props_.in_bytes, first_edge, rows.in_bytes);
-  copy_at(props_.out_pkts, first_edge, rows.out_pkts);
-  copy_at(props_.in_pkts, first_edge, rows.in_pkts);
-  copy_at(props_.state, first_edge, rows.state);
+  copy_at(graph_.protocol_, first_edge, rows.protocol);
+  copy_at(graph_.src_port_, first_edge, rows.src_port);
+  copy_at(graph_.dst_port_, first_edge, rows.dst_port);
+  copy_at(graph_.duration_ms_, first_edge, rows.duration_ms);
+  copy_at(graph_.out_bytes_, first_edge, rows.out_bytes);
+  copy_at(graph_.in_bytes_, first_edge, rows.in_bytes);
+  copy_at(graph_.out_pkts_, first_edge, rows.out_pkts);
+  copy_at(graph_.in_pkts_, first_edge, rows.in_pkts);
+  copy_at(graph_.state_, first_edge, rows.state);
 }
 
 void MemoryStore::finish() {
   CSB_CHECK_MSG(begun_ && !finished_, "finish outside begin / called twice");
   finished_ = true;
-  for (std::uint64_t e = 0; e < header_.edges; ++e) {
-    CSB_CHECK_MSG(src_[e] < header_.vertices && dst_[e] < header_.vertices,
-                  "edge endpoints must be existing vertices");
-  }
-  graph_ = PropertyGraph::from_columns_unchecked(
-      header_.vertices, std::move(src_), std::move(dst_));
-  if (header_.with_properties) {
-    graph_.ensure_properties_for_overwrite();
-    for (std::uint64_t e = 0; e < header_.edges; ++e) {
-      graph_.set_edge_properties(
-          e, EdgeProperties{
-                 .protocol = props_.protocol[e],
-                 .src_port = props_.src_port[e],
-                 .dst_port = props_.dst_port[e],
-                 .duration_ms = props_.duration_ms[e],
-                 .out_bytes = props_.out_bytes[e],
-                 .in_bytes = props_.in_bytes[e],
-                 .out_pkts = props_.out_pkts[e],
-                 .in_pkts = props_.in_pkts[e],
-                 .state = props_.state[e],
-             });
-    }
-    props_ = PropertyRowsBuffer{};
-  }
 }
 
 const PropertyGraph& MemoryStore::graph() const {

@@ -10,8 +10,9 @@
 // position is a pure function of the chunk geometry — never of scheduling.
 //
 // Two backends:
-//   * MemoryStore — in-RAM columns; finish() yields a PropertyGraph
-//     byte-identical to the classic GenResult.graph path.
+//   * MemoryStore — the in-RAM path: chunks are written straight into the
+//     final PropertyGraph columns (Generator::generate is a MemoryStore
+//     capture of Generator::generate_into).
 //   * ShardStore  — sharded on-disk binary + mmap-able CSR index
 //     (store/shard_store.hpp), bounded resident memory.
 #pragma once
@@ -99,9 +100,11 @@ class GraphStore {
   virtual void finish() = 0;
 };
 
-/// In-memory backend: the columns land exactly where the classic
-/// materialize + assign_properties path would put them, so graph() after
-/// finish() equals GenResult.graph byte for byte.
+/// In-memory backend. begin() allocates the graph's endpoint columns and
+/// attaches its property columns for overwrite; put_edges / put_properties
+/// write each chunk at its offset in those final columns (put_edges also
+/// checks its chunk's endpoints against the vertex count, throwing
+/// CsbError); finish() is an O(1) hand-off.
 class MemoryStore final : public GraphStore {
  public:
   [[nodiscard]] std::string_view name() const override { return "memory"; }
@@ -121,15 +124,12 @@ class MemoryStore final : public GraphStore {
   StoreHeader header_;
   bool begun_ = false;
   bool finished_ = false;
-  std::vector<VertexId> src_;
-  std::vector<VertexId> dst_;
-  PropertyRowsBuffer props_;
   PropertyGraph graph_;
 };
 
 /// Chunked replay of an in-RAM graph through any store: begin / 64K-edge
-/// put_edges+put_properties chunks / finish. The fallback save path for
-/// classic generators and the `shards` GraphFormat.
+/// put_edges+put_properties chunks / finish. The save path of the `shards`
+/// GraphFormat.
 void replay_graph_into(const PropertyGraph& graph, GraphStore& store,
                        std::uint64_t seed);
 

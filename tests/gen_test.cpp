@@ -12,7 +12,7 @@
 #include "gen/fast_samplers.hpp"
 #include "gen/kronecker.hpp"
 #include "gen/kronfit.hpp"
-#include "gen/materialize.hpp"
+#include "gen/sink_stages.hpp"
 #include "mr/dataset.hpp"
 #include "gen/pgpba.hpp"
 #include "gen/pgsk.hpp"
@@ -20,8 +20,10 @@
 #include "graph/algorithms.hpp"
 #include "seed/seed.hpp"
 #include "stats/power_law.hpp"
+#include "store/graph_store.hpp"
 #include "trace/traffic_model.hpp"
 #include "util/error.hpp"
+#include "util/parallel.hpp"
 #include "util/random.hpp"
 #include "util/thread_pool.hpp"
 
@@ -41,12 +43,30 @@ ClusterConfig four_cores() { return ClusterConfig{.nodes = 2, .cores_per_node = 
 
 // ------------------------------------------------------------- properties
 
+/// Runs the store:props stage over `edges` edges on `vertices` vertices
+/// (endpoint e -> e+1 mod vertices) and returns the captured graph.
+PropertyGraph sample_properties(const SeedProfile& profile,
+                                std::uint64_t vertices, std::uint64_t edges,
+                                std::uint64_t prop_seed) {
+  std::vector<VertexId> src(edges);
+  std::vector<VertexId> dst(edges);
+  for (std::uint64_t e = 0; e < edges; ++e) {
+    src[e] = e % vertices;
+    dst[e] = (e + 1) % vertices;
+  }
+  ClusterSim cluster(four_cores());
+  MemoryStore store;
+  store.begin(StoreHeader{
+      .vertices = vertices, .edges = edges, .with_properties = true});
+  emit_columns_into(src, dst, store, cluster);
+  run_property_stage(store, profile, cluster, prop_seed, edges);
+  store.finish();
+  return store.take_graph();
+}
+
 TEST(AssignPropertiesTest, FillsEveryEdgeFromSeedSupport) {
   const SeedBundle seed = small_seed(200);
-  PropertyGraph g(10);
-  for (int i = 0; i < 200; ++i) g.add_edge(i % 10, (i * 3) % 10);
-  ClusterSim cluster(four_cores());
-  assign_properties(g, seed.profile, cluster, 42);
+  const PropertyGraph g = sample_properties(seed.profile, 10, 200, 42);
   ASSERT_TRUE(g.has_properties());
   for (EdgeId e = 0; e < g.num_edges(); ++e) {
     const EdgeProperties p = g.edge_properties(e);
@@ -57,18 +77,9 @@ TEST(AssignPropertiesTest, FillsEveryEdgeFromSeedSupport) {
 
 TEST(AssignPropertiesTest, DeterministicPerSeedValue) {
   const SeedBundle seed = small_seed(200);
-  PropertyGraph a(5);
-  PropertyGraph b(5);
-  for (int i = 0; i < 50; ++i) {
-    a.add_edge(i % 5, (i + 1) % 5);
-    b.add_edge(i % 5, (i + 1) % 5);
-  }
-  ClusterSim cluster(four_cores());
-  assign_properties(a, seed.profile, cluster, 7);
-  assign_properties(b, seed.profile, cluster, 7);
-  EXPECT_EQ(a, b);
-  assign_properties(b, seed.profile, cluster, 8);
-  EXPECT_NE(a, b);
+  const PropertyGraph a = sample_properties(seed.profile, 5, 50, 7);
+  EXPECT_EQ(sample_properties(seed.profile, 5, 50, 7), a);
+  EXPECT_NE(sample_properties(seed.profile, 5, 50, 8), a);
 }
 
 // ----------------------------------------------------------------- PGPBA
@@ -526,42 +537,55 @@ TEST(ErdosRenyiTest, ExactEdgeCountAndNoSkew) {
   EXPECT_LT(max_degree, 40u);
 }
 
-// ------------------------------------------------------------ materialize
+// ------------------------------------------- in-RAM capture (MemoryStore)
+
+/// Streams `parts` into a MemoryStore as a store:emit stage.
+PropertyGraph capture(std::vector<std::vector<Edge>> parts,
+                      std::uint64_t vertices, bool with_properties) {
+  ClusterSim cluster(four_cores());
+  const Dataset<Edge> edges(cluster, std::move(parts));
+  MemoryStore store;
+  store.begin(StoreHeader{.vertices = vertices,
+                          .edges = edges.count(),
+                          .with_properties = with_properties});
+  emit_dataset_into(edges, store, cluster);
+  store.finish();
+  return store.take_graph();
+}
 
 TEST(MaterializeTest, CollectsAllPartitions) {
-  ClusterSim cluster(four_cores());
-  std::vector<std::vector<Edge>> parts = {
-      {{0, 1}, {1, 2}}, {}, {{2, 3}}, {{3, 0}, {0, 2}}};
-  const Dataset<Edge> edges(cluster, std::move(parts));
-  const PropertyGraph graph = materialize_graph(edges, 4, false, cluster);
+  const PropertyGraph graph = capture(
+      {{{0, 1}, {1, 2}}, {}, {{2, 3}}, {{3, 0}, {0, 2}}}, 4, false);
   EXPECT_EQ(graph.num_vertices(), 4u);
   EXPECT_EQ(graph.num_edges(), 5u);
   EXPECT_FALSE(graph.has_properties());
   EXPECT_EQ(graph.edge_src(0), 0u);
+  EXPECT_EQ(graph.edge_src(2), 2u);
+  EXPECT_EQ(graph.edge_dst(2), 3u);
   EXPECT_EQ(graph.edge_dst(4), 2u);
 }
 
 TEST(MaterializeTest, WithPropertiesAttachesColumns) {
-  ClusterSim cluster(four_cores());
-  std::vector<std::vector<Edge>> parts = {{{0, 1}}};
-  const Dataset<Edge> edges(cluster, std::move(parts));
-  const PropertyGraph graph = materialize_graph(edges, 2, true, cluster);
+  const PropertyGraph graph = capture({{{0, 1}}}, 2, true);
   EXPECT_TRUE(graph.has_properties());
   EXPECT_EQ(graph.protocols().size(), 1u);
 }
 
 TEST(MaterializeTest, RejectsOutOfRangeEndpoints) {
-  ClusterSim cluster(four_cores());
-  std::vector<std::vector<Edge>> parts = {{{0, 9}}};
-  const Dataset<Edge> edges(cluster, std::move(parts));
-  EXPECT_THROW(materialize_graph(edges, 2, false, cluster), CsbError);
+  EXPECT_THROW((void)capture({{{0, 9}}}, 2, false), CsbError);
+  // The check covers each put_edges chunk on its own.
+  MemoryStore store;
+  store.begin(StoreHeader{.vertices = 4, .edges = 3});
+  const std::vector<VertexId> ok = {0, 3};
+  store.put_edges(0, ok, ok);
+  const std::vector<VertexId> src = {1};
+  const std::vector<VertexId> bad = {4};
+  EXPECT_THROW(store.put_edges(2, src, bad), CsbError);
 }
 
 TEST(MaterializeTest, EmptyDatasetGivesEmptyGraph) {
-  ClusterSim cluster(four_cores());
-  std::vector<std::vector<Edge>> parts(3);
-  const Dataset<Edge> edges(cluster, std::move(parts));
-  const PropertyGraph graph = materialize_graph(edges, 5, false, cluster);
+  const PropertyGraph graph = capture(std::vector<std::vector<Edge>>(3), 5,
+                                      false);
   EXPECT_EQ(graph.num_vertices(), 5u);
   EXPECT_EQ(graph.num_edges(), 0u);
 }
@@ -769,13 +793,28 @@ TEST(ChungLuLevelsTest, NoiseVariesLevelsDeterministically) {
   EXPECT_THROW(chung_lu_levels(initiator, 4, 0.5, 1), CsbError);
 }
 
+/// Runs `kernel(chunk, out + chunk.begin - first)` over fixed 1024-edge
+/// chunks of [first, last); a null pool runs the same chunks inline.
+template <typename Kernel>
+std::vector<Edge> run_chunks(std::size_t first, std::size_t last,
+                             ThreadPool* pool, const Kernel& kernel) {
+  std::vector<Edge> out(last - first);
+  parallel_for_fixed_chunks(pool, first, last, 1024,
+                            [&](const ChunkRange& chunk) {
+                              kernel(chunk, out.data() + (chunk.begin - first));
+                            });
+  return out;
+}
+
 TEST(BallDropTest, ByteIdenticalAcrossPoolSizes) {
   const ChungLuLevels levels = chung_lu_levels(Initiator{}, 12, 0.1, 9);
-  const auto serial = chung_lu_ball_drop(levels, 50'000, 9, 1024, nullptr);
-  ASSERT_EQ(serial.size(), 50'000u);
+  const auto drop = [&levels](const ChunkRange& chunk, Edge* out) {
+    ball_drop_chunk(levels, 9, chunk, out);
+  };
+  const auto serial = run_chunks(0, 50'000, nullptr, drop);
   for (const std::size_t threads : {1, 2, 8}) {
     ThreadPool pool(threads);
-    EXPECT_EQ(chung_lu_ball_drop(levels, 50'000, 9, 1024, &pool), serial)
+    EXPECT_EQ(run_chunks(0, 50'000, &pool, drop), serial)
         << threads << " threads";
   }
 }
@@ -862,11 +901,13 @@ TEST(SkipAheadTest, AttachByteIdenticalAcrossPoolSizes) {
   layout.seed_edges = 3;
   layout.first_new_vertex = 3;
   layout.edges_per_vertex = 2;
-  const auto serial = skip_ahead_attach(layout, 40'000, 13, 1024, nullptr);
-  ASSERT_EQ(serial.size(), 40'000u - 3u);
+  const auto attach = [&layout](const ChunkRange& chunk, Edge* out) {
+    skip_ahead_chunk(layout, 13, chunk, out);
+  };
+  const auto serial = run_chunks(3, 40'000, nullptr, attach);
   for (const std::size_t threads : {1, 2, 8}) {
     ThreadPool pool(threads);
-    EXPECT_EQ(skip_ahead_attach(layout, 40'000, 13, 1024, &pool), serial)
+    EXPECT_EQ(run_chunks(3, 40'000, &pool, attach), serial)
         << threads << " threads";
   }
 }

@@ -473,8 +473,8 @@ TEST(GeneratorRegistryTest, TracedRunEmitsGeneratorPhases) {
     if (span.kind == "stage" || span.kind == "serial") booked += span.seconds;
   }
   // The exact PGSK streams expand/re-multiply through the store sink, so
-  // the classic expand/re-multiply/materialize phases are replaced by the
-  // "store" phase (docs/graph-store.md).
+  // those stages run under the "store" phase (docs/graph-store.md) and no
+  // materialize phase exists.
   for (const char* expected : {"collapse", "kronfit", "store", "properties"}) {
     EXPECT_NE(std::find(phases.begin(), phases.end(), expected), phases.end())
         << expected;

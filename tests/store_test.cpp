@@ -1,5 +1,6 @@
-// Unit tests for src/store: the GraphStore sink contract (MemoryStore ==
-// classic path), the ShardStore on-disk round trip and its determinism
+// Unit tests for src/store: the GraphStore sink contract (every generator
+// streams its own pipeline; MemoryStore and ShardStore land the same
+// graph), the ShardStore on-disk round trip and its determinism
 // across shard counts and pool sizes, the mmap CSR index, corrupt-store
 // error paths, ExternalDistinct, the GraphFormat registry, and the typed
 // generator option descriptors.
@@ -12,12 +13,14 @@
 #include <map>
 #include <random>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "gen/fast_samplers.hpp"
 #include "gen/generator.hpp"
 #include "gen/pgpba.hpp"
 #include "gen/pgsk.hpp"
+#include "gen/sink_stages.hpp"
 #include "graph/algorithms.hpp"
 #include "graph/csr.hpp"
 #include "obs/metrics.hpp"
@@ -92,59 +95,6 @@ PgpbaFastOptions pgpba_options(const SeedBundle& seed) {
   return options;
 }
 
-// ------------------------------------------------- MemoryStore == classic
-
-TEST(MemoryStoreTest, PgskFastSinkMatchesClassicByteForByte) {
-  const SeedBundle seed = small_seed();
-  const auto options = pgsk_options(seed);
-  ClusterSim c1(four_cores());
-  const GenResult classic =
-      pgsk_fast_generate(seed.graph, seed.profile, c1, options);
-
-  ClusterSim c2(four_cores());
-  MemoryStore store;
-  const StoreGenResult streamed = pgsk_fast_generate_into(
-      seed.graph, seed.profile, c2, options, FastSinkOptions{}, store);
-  EXPECT_EQ(store.graph(), classic.graph);
-  EXPECT_EQ(streamed.edges, classic.graph.num_edges());
-  EXPECT_EQ(streamed.vertices, classic.graph.num_vertices());
-}
-
-TEST(MemoryStoreTest, PgpbaFastSinkMatchesClassicByteForByte) {
-  const SeedBundle seed = small_seed();
-  const auto options = pgpba_options(seed);
-  ClusterSim c1(four_cores());
-  const GenResult classic =
-      pgpba_fast_generate(seed.graph, seed.profile, c1, options);
-
-  ClusterSim c2(four_cores());
-  MemoryStore store;
-  const StoreGenResult streamed = pgpba_fast_generate_into(
-      seed.graph, seed.profile, c2, options, store);
-  EXPECT_EQ(store.graph(), classic.graph);
-  EXPECT_EQ(streamed.edges, classic.graph.num_edges());
-}
-
-TEST(MemoryStoreTest, DefaultGenerateIntoReplaysClassicResult) {
-  // A generator without a streaming override (chung-lu) goes through the
-  // base-class store:replay path and must land the identical graph.
-  const SeedBundle seed = small_seed(300);
-  const Generator& generator = require_generator("chung-lu");
-  GenConfig config;
-  config.desired_edges = 3 * seed.graph.num_edges();
-  config.seed = 5;
-
-  ClusterSim c1(four_cores());
-  const GenResult classic =
-      generator.generate(seed.graph, seed.profile, c1, config);
-  ClusterSim c2(four_cores());
-  MemoryStore store;
-  const StoreGenResult streamed =
-      generator.generate_into(seed.graph, seed.profile, c2, config, store);
-  EXPECT_EQ(store.graph(), classic.graph);
-  EXPECT_EQ(streamed.edges, classic.graph.num_edges());
-}
-
 // --------------------------------------------- exact generators, streamed
 
 PgskOptions pgsk_exact_options(const SeedBundle& seed) {
@@ -164,73 +114,72 @@ PgpbaOptions pgpba_exact_options(const SeedBundle& seed) {
   return options;
 }
 
-// pgpba_generate (materialize + assign_properties) and pgpba_generate_into
-// (store:emit + store:props) are independent back ends over the same growth
-// state — the MemoryStore sink must land the identical graph.
-TEST(MemoryStoreTest, PgpbaExactSinkMatchesClassicByteForByte) {
-  const SeedBundle seed = small_seed(300);
-  const auto options = pgpba_exact_options(seed);
-  ClusterSim c1(four_cores());
-  const GenResult classic =
-      pgpba_generate(seed.graph, seed.profile, c1, options);
-
-  ClusterSim c2(four_cores());
-  MemoryStore store;
-  const StoreGenResult streamed =
-      pgpba_generate_into(seed.graph, seed.profile, c2, options, store);
-  EXPECT_EQ(store.graph(), classic.graph);
-  EXPECT_EQ(streamed.edges, classic.graph.num_edges());
-  EXPECT_EQ(streamed.vertices, classic.graph.num_vertices());
-  EXPECT_EQ(streamed.iterations, classic.iterations);
-}
-
-// pgsk_generate is the MemoryStore wrapper of pgsk_generate_into, so the
-// classic API and a fresh sink run must agree exactly (and with a second
-// cluster, this also pins run-to-run determinism of the streamed pipeline).
-TEST(MemoryStoreTest, PgskExactSinkMatchesClassicByteForByte) {
-  const SeedBundle seed = small_seed(300);
-  const auto options = pgsk_exact_options(seed);
-  ClusterSim c1(four_cores());
-  const GenResult classic =
-      pgsk_generate(seed.graph, seed.profile, c1, options);
-  EXPECT_GT(classic.graph.num_edges(), 0u);
-
-  ClusterSim c2(four_cores());
-  MemoryStore store;
-  const StoreGenResult streamed =
-      pgsk_generate_into(seed.graph, seed.profile, c2, options, store);
-  EXPECT_EQ(store.graph(), classic.graph);
-  EXPECT_EQ(streamed.edges, classic.graph.num_edges());
-  EXPECT_EQ(streamed.vertices, classic.graph.num_vertices());
-}
-
-// The streamed exact generators must not fall back to the base-class
-// store:replay path: their spans are store:distinct/count/begin/emit/props/
-// finalize, never store:replay.
+// Every registered generator streams its own pipeline into the store: no
+// run books a store:replay span (generate, then replay the in-RAM result)
+// or a materialize span (assemble in-RAM columns outside the store).
 TEST(MemoryStoreTest, ExactGeneratorsEmitNoReplaySpan) {
   const SeedBundle seed = small_seed(300);
-  for (const char* name : {"pgsk", "pgpba"}) {
-    const Generator& generator = require_generator(name);
+  for (const Generator* generator : all_generators()) {
     GenConfig config;
     config.desired_edges = 3 * seed.graph.num_edges();
     config.partitions = 4;
     config.seed = 7;
+    config.extra = {{"fit-iters", "2"}, {"fit-swaps", "50"},
+                    {"fit-burnin", "50"}};
+    if (!generator->name().starts_with("pgsk")) config.extra.clear();
     ClusterSim cluster(four_cores());
     TraceRecorder recorder;
     cluster.set_trace(&recorder);
     MemoryStore store;
     const StoreGenResult streamed =
-        generator.generate_into(seed.graph, seed.profile, cluster, config,
-                                store);
+        generator->generate_into(seed.graph, seed.profile, cluster, config,
+                                 store);
     cluster.set_trace(nullptr);
+    const std::string name(generator->name());
     EXPECT_GT(streamed.edges, 0u) << name;
 
     bool saw_emit = false;
     for (const SpanRecord& span : recorder.spans()) {
       EXPECT_NE(span.name, "store:replay") << name;
+      EXPECT_FALSE(span.name.starts_with("materialize"))
+          << name << ": " << span.name;
       if (span.name == "store:emit") saw_emit = true;
     }
     EXPECT_TRUE(saw_emit) << name;
+  }
+}
+
+// Both generator counters are booked by the shared property stage and the
+// shared store seal, so they count every edge on every path, including a
+// ShardStore run of the exact PGSK pipeline and of a §II baseline.
+TEST(ShardStoreTest, GeneratorCountersBookEveryEdge) {
+  const SeedBundle seed = small_seed(300);
+  Counter& materialized =
+      MetricsRegistry::instance().counter("gen.edges_materialized");
+  Counter& sampled =
+      MetricsRegistry::instance().counter("gen.properties_sampled");
+  for (const char* name : {"pgsk", "chung-lu"}) {
+    GenConfig config;
+    config.desired_edges = 3 * seed.graph.num_edges();
+    config.seed = 5;
+    if (std::string_view(name) == "pgsk") {
+      config.extra = {{"fit-iters", "2"}, {"fit-swaps", "50"},
+                      {"fit-burnin", "50"}};
+    }
+    ScratchDir dir(std::string("counters_") + name);
+    ShardStoreOptions store_options;
+    store_options.directory = dir.str();
+    store_options.shard_count = 4;
+    ShardStore store(store_options);
+    ClusterSim cluster(four_cores());
+    const std::uint64_t materialized_before = materialized.value();
+    const std::uint64_t sampled_before = sampled.value();
+    const StoreGenResult result = require_generator(name).generate_into(
+        seed.graph, seed.profile, cluster, config, store);
+    EXPECT_GT(result.edges, 0u) << name;
+    EXPECT_EQ(materialized.value() - materialized_before, result.edges)
+        << name;
+    EXPECT_EQ(sampled.value() - sampled_before, result.edges) << name;
   }
 }
 
@@ -338,7 +287,7 @@ TEST(ShardStoreTest, RoundTripMatchesMemoryAcrossShardAndPoolCounts) {
   ClusterSim baseline_cluster(four_cores());
   MemoryStore baseline;
   (void)pgsk_fast_generate_into(seed.graph, seed.profile, baseline_cluster,
-                                pg_options, FastSinkOptions{}, baseline);
+                                pg_options, baseline);
 
   for (const std::uint32_t shard_count : {1u, 4u, 16u}) {
     for (const std::size_t pool_size : {1u, 2u, 8u}) {
@@ -352,7 +301,7 @@ TEST(ShardStoreTest, RoundTripMatchesMemoryAcrossShardAndPoolCounts) {
       store_options.pool = &pool;
       ShardStore store(store_options);
       (void)pgsk_fast_generate_into(seed.graph, seed.profile, cluster,
-                                    pg_options, FastSinkOptions{}, store);
+                                    pg_options, store);
 
       const ShardStoreReader reader(dir.str());
       EXPECT_EQ(reader.manifest().shard_count, shard_count);
@@ -489,12 +438,12 @@ TEST(ShardStoreTest, DedupStoreBytesInvariantToPoolSize) {
     store_options.shard_count = 4;
     store_options.pool = &pool;
     ShardStore store(store_options);
-    FastSinkOptions sink;
-    sink.dedup = true;
-    sink.dedup_budget_bytes = budget;
-    sink.spill_directory = spill.str();
-    (void)pgsk_fast_generate_into(seed.graph, seed.profile, cluster,
-                                  pg_options, sink, store);
+    PgskFastOptions options = pg_options;
+    options.dedup = true;
+    options.dedup_budget_bytes = budget;
+    options.spill_directory = spill.str();
+    (void)pgsk_fast_generate_into(seed.graph, seed.profile, cluster, options,
+                                  store);
 
     std::vector<std::string> bytes;
     for (const auto& entry : fs::directory_iterator(dir.path())) {
@@ -521,8 +470,7 @@ TEST(ShardStoreTest, CsrIndexMatchesInRamCsrView) {
 
   ClusterSim c1(four_cores());
   MemoryStore memory;
-  (void)pgsk_fast_generate_into(seed.graph, seed.profile, c1, pg_options,
-                                FastSinkOptions{}, memory);
+  (void)pgsk_fast_generate_into(seed.graph, seed.profile, c1, pg_options, memory);
 
   ScratchDir dir("csr");
   ClusterSim c2(four_cores());
@@ -530,8 +478,7 @@ TEST(ShardStoreTest, CsrIndexMatchesInRamCsrView) {
   store_options.directory = dir.str();
   store_options.shard_count = 4;
   ShardStore store(store_options);
-  (void)pgsk_fast_generate_into(seed.graph, seed.profile, c2, pg_options,
-                                FastSinkOptions{}, store);
+  (void)pgsk_fast_generate_into(seed.graph, seed.profile, c2, pg_options, store);
 
   const ShardStoreReader reader(dir.str());
   ASSERT_TRUE(reader.has_csr());
@@ -557,16 +504,14 @@ TEST(ShardStoreTest, StreamedVeracityEqualsInRamVeracity) {
 
   ClusterSim c1(four_cores());
   MemoryStore memory;
-  (void)pgsk_fast_generate_into(seed.graph, seed.profile, c1, pg_options,
-                                FastSinkOptions{}, memory);
+  (void)pgsk_fast_generate_into(seed.graph, seed.profile, c1, pg_options, memory);
 
   ScratchDir dir("veracity");
   ClusterSim c2(four_cores());
   ShardStoreOptions store_options;
   store_options.directory = dir.str();
   ShardStore store(store_options);
-  (void)pgsk_fast_generate_into(seed.graph, seed.profile, c2, pg_options,
-                                FastSinkOptions{}, store);
+  (void)pgsk_fast_generate_into(seed.graph, seed.profile, c2, pg_options, store);
 
   const ShardStoreReader reader(dir.str());
   ThreadPool pool(4);
@@ -587,18 +532,18 @@ TEST(ShardStoreTest, StreamedVeracityEqualsInRamVeracity) {
 
 TEST(ShardStoreTest, DedupPathDropsDuplicatesDeterministically) {
   const SeedBundle seed = small_seed(300);
-  auto pg_options = pgsk_options(seed);
+  const auto pg_options = pgsk_options(seed);
 
   const auto run = [&](std::uint64_t budget_bytes, const std::string& tag) {
     ScratchDir spill("spill_" + tag);
     ClusterSim cluster(four_cores());
     MemoryStore store;
-    FastSinkOptions sink;
-    sink.dedup = true;
-    sink.dedup_budget_bytes = budget_bytes;
-    sink.spill_directory = spill.str();
-    (void)pgsk_fast_generate_into(seed.graph, seed.profile, cluster,
-                                  pg_options, sink, store);
+    PgskFastOptions options = pg_options;
+    options.dedup = true;
+    options.dedup_budget_bytes = budget_bytes;
+    options.spill_directory = spill.str();
+    (void)pgsk_fast_generate_into(seed.graph, seed.profile, cluster, options,
+                                  store);
     return store.take_graph();
   };
 
@@ -617,6 +562,60 @@ TEST(ShardStoreTest, DedupPathDropsDuplicatesDeterministically) {
     keys.push_back((static_cast<std::uint64_t>(srcs[e]) << 32) | dsts[e]);
   }
   EXPECT_TRUE(std::is_sorted(keys.begin(), keys.end()));
+}
+
+// `dedup` takes effect on the in-RAM path as well: generate() returns every
+// distinct placement once, expanded into exactly its re-multiply copies,
+// and lands the same graph as a ShardStore run.
+TEST(ShardStoreTest, DedupAppliesToInRamGenerate) {
+  const SeedBundle seed = small_seed(300);
+  const Generator& generator = require_generator("pgsk-fast");
+  GenConfig config;
+  config.desired_edges = 6 * seed.graph.num_edges();
+  config.seed = 11;
+  config.extra = {{"fit-iters", "2"}, {"fit-swaps", "50"},
+                  {"fit-burnin", "50"}};
+  ClusterSim plain_cluster(four_cores());
+  const GenResult plain =
+      generator.generate(seed.graph, seed.profile, plain_cluster, config);
+
+  config.extra["dedup"] = "true";
+  ClusterSim cluster(four_cores());
+  const GenResult deduped =
+      generator.generate(seed.graph, seed.profile, cluster, config);
+  const PropertyGraph& graph = deduped.graph;
+  ASSERT_GT(graph.num_edges(), 0u);
+  EXPECT_LT(graph.num_edges(), plain.graph.num_edges());
+
+  const auto srcs = graph.sources();
+  const auto dsts = graph.destinations();
+  const std::uint64_t dup_seed = config.seed ^ 0xd0b1e5ULL;
+  std::uint64_t previous_key = 0;
+  for (EdgeId e = 0; e < graph.num_edges();) {
+    const Edge edge{srcs[e], dsts[e]};
+    const std::uint64_t key = (edge.src << 32) | edge.dst;
+    ASSERT_TRUE(e == 0 || key > previous_key)
+        << "placement repeated or out of order at edge " << e;
+    EdgeId run_end = e;
+    while (run_end < graph.num_edges() && srcs[run_end] == edge.src &&
+           dsts[run_end] == edge.dst) {
+      ++run_end;
+    }
+    ASSERT_EQ(run_end - e, re_multiply_copies(seed.profile, dup_seed, edge))
+        << "edge " << e;
+    previous_key = key;
+    e = run_end;
+  }
+
+  ScratchDir dir("dedup_in_ram");
+  ShardStoreOptions store_options;
+  store_options.directory = dir.str();
+  store_options.shard_count = 4;
+  ShardStore store(store_options);
+  ClusterSim shard_cluster(four_cores());
+  (void)generator.generate_into(seed.graph, seed.profile, shard_cluster,
+                                config, store);
+  EXPECT_EQ(ShardStoreReader(dir.str()).to_property_graph(), graph);
 }
 
 // ------------------------------------------------------------ error paths
