@@ -316,6 +316,10 @@ struct IpCase {
   const char* text;
 };
 
+// Names each case by its dotted text; without a printer gtest falls back to
+// the object's bytes, which include the string's (ASLR-randomized) address.
+void PrintTo(const IpCase& c, std::ostream* os) { *os << c.text; }
+
 class IpStringTest : public ::testing::TestWithParam<IpCase> {};
 
 TEST_P(IpStringTest, RoundTrips) {

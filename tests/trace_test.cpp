@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <type_traits>
 #include <unordered_set>
 
 #include "trace/attacks.hpp"
@@ -16,13 +17,29 @@ namespace {
 // ----------------------------------------------------------- normalization
 
 struct NormalizeCase {
+  NormalizeCase(Protocol protocol, ConnState state, std::uint64_t out_bytes,
+                std::uint64_t in_bytes, std::uint32_t out_pkts,
+                std::uint32_t in_pkts)
+      : protocol(protocol),
+        state(state),
+        out_bytes(out_bytes),
+        in_bytes(in_bytes),
+        out_pkts(out_pkts),
+        in_pkts(in_pkts) {}
+
   Protocol protocol;
   ConnState state;
+  // gtest names each case by the object's bytes, so the six bytes the
+  // compiler would leave as uninitialized padding are zeroed members.
+  std::uint8_t padding[6] = {};
   std::uint64_t out_bytes;
   std::uint64_t in_bytes;
   std::uint32_t out_pkts;
   std::uint32_t in_pkts;
 };
+
+static_assert(std::has_unique_object_representations_v<NormalizeCase>,
+              "NormalizeCase must have no padding bytes");
 
 class NormalizeTest : public ::testing::TestWithParam<NormalizeCase> {};
 
