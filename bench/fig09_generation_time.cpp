@@ -6,7 +6,7 @@
 // PGPBA is consistently faster; PGPBA runs with fraction = 2 so both double
 // the graph per iteration (Kronecker parity). The fast samplers must track
 // the same linear shape with a much smaller constant on the expansion
-// phases (the `core` columns: grow/expand/generate + store booked seconds,
+// phases (the `core` columns: grow/generate + store booked seconds,
 // i.e. simulated time minus the shared collapse/KronFit preprocessing and
 // the property stage).
 //
@@ -76,9 +76,9 @@ int main(int argc, char** argv) {
             seed.graph, seed.profile, cluster, config);
         double core = 0.0;
         // "store" covers every generator's streamed emission, which books
-        // its expand/re-multiply/emit work under store:* spans.
-        for (const std::string_view phase :
-             {"grow", "expand", "generate", "store"}) {
+        // its Kronecker expansion, re-multiply and emit work under store:*
+        // spans.
+        for (const std::string_view phase : {"grow", "generate", "store"}) {
           core += phase_booked_seconds(trace.spans(), phase);
         }
         if (result.metrics.simulated_seconds < best_simulated) {
@@ -99,7 +99,7 @@ int main(int argc, char** argv) {
   }
   table.print();
   std::cout << "\n(simulated seconds on 60 virtual nodes x 12 cores; "
-               "core_s = grow/expand/generate/store booked seconds, "
+               "core_s = grow/generate/store booked seconds, "
                "core_eps = edges / core_s; check linearity per generator and "
                "the fast-vs-exact core_s ratios — the gated "
                "best-of-N race at CI scale lives in bench/fast_samplers)\n";

@@ -22,6 +22,15 @@ struct ScheduleCase {
   double makespan;
 };
 
+// A stable ctest name ("2-2-3_on_2_slots") instead of pointer bytes.
+void PrintTo(const ScheduleCase& c, std::ostream* os) {
+  if (c.durations.empty()) *os << "none";
+  for (std::size_t i = 0; i < c.durations.size(); ++i) {
+    *os << (i > 0 ? "-" : "") << c.durations[i];
+  }
+  *os << "_on_" << c.slots << "_slots";
+}
+
 class ListScheduleTest : public ::testing::TestWithParam<ScheduleCase> {};
 
 TEST_P(ListScheduleTest, ComputesMakespan) {

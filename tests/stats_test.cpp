@@ -95,6 +95,11 @@ struct Log2Case {
   std::size_t bin;
 };
 
+// A stable ctest name instead of the struct's padding bytes.
+void PrintTo(const Log2Case& c, std::ostream* os) {
+  *os << c.value << "_in_bin_" << c.bin;
+}
+
 class Log2HistogramTest : public ::testing::TestWithParam<Log2Case> {};
 
 TEST_P(Log2HistogramTest, MapsValueToBin) {
@@ -191,6 +196,11 @@ struct BucketCase {
   std::uint64_t condition;
   std::uint32_t bucket;
 };
+
+// A stable ctest name instead of the struct's padding bytes.
+void PrintTo(const BucketCase& c, std::ostream* os) {
+  *os << c.condition << "_in_bucket_" << c.bucket;
+}
 
 class BucketOfTest : public ::testing::TestWithParam<BucketCase> {};
 

@@ -760,6 +760,76 @@ TEST(ShardStoreErrorTest, ParallelVerifyFlippedCsrByteNamesTheFile) {
   }
 }
 
+/// Overwrites 8-byte word `index` of `file` and returns the old word.
+std::uint64_t poke_word(const fs::path& file, std::uint64_t index,
+                        std::uint64_t value) {
+  std::fstream io(file, std::ios::binary | std::ios::in | std::ios::out);
+  std::uint64_t old = 0;
+  io.seekg(static_cast<std::streamoff>(index * 8));
+  io.read(reinterpret_cast<char*>(&old), 8);
+  io.seekp(static_cast<std::streamoff>(index * 8));
+  io.write(reinterpret_cast<const char*>(&value), 8);
+  EXPECT_TRUE(io.good()) << file;
+  return old;
+}
+
+TEST(ShardStoreErrorTest, StructurallyCorruptCsrThrowsAtOpenNamingTheFile) {
+  const SeedBundle seed = small_seed(300);
+  ScratchDir dir("csr_structure");
+  ClusterSim cluster(four_cores());
+  ShardStoreOptions store_options;
+  store_options.directory = dir.str();
+  store_options.shard_count = 2;
+  ShardStore store(store_options);
+  (void)pgsk_fast_generate_into(seed.graph, seed.profile, cluster,
+                                pgsk_options(seed), store);
+  const std::uint64_t n = store.manifest().vertices;
+  const std::uint64_t m = store.manifest().edges;
+  ASSERT_GT(n, 2u);
+  // csr.bin words: 3 header words, out_degree[n], in_offsets[n+1],
+  // in_neighbors[m].
+  const std::uint64_t out_degree = 3;
+  const std::uint64_t in_offsets = 3 + n;
+  const std::uint64_t in_neighbors = 3 + n + n + 1;
+  const fs::path csr = dir.path() / "csr.bin";
+  const auto read_word = [&](std::uint64_t index) {
+    const std::uint64_t word = poke_word(csr, index, 0);
+    poke_word(csr, index, word);
+    return word;
+  };
+  const std::uint64_t d0 = read_word(out_degree);
+  const std::uint64_t d1 = read_word(out_degree + 1);
+  const std::map<std::string, std::map<std::uint64_t, std::uint64_t>> cases = {
+      {"in_offsets[n/2] = 2^40", {{in_offsets + n / 2, 1ULL << 40}}},
+      {"in_offsets[0] = 1", {{in_offsets, 1}}},
+      {"in_offsets[n] = m - 1", {{in_offsets + n, m - 1}}},
+      {"neighbor = n", {{in_neighbors + m / 2, n}}},
+      {"out_degree sum off by one", {{out_degree, d0 + 1}}},
+      {"out_degree sum wraps mod 2^64",
+       {{out_degree, d0 + (1ULL << 63)}, {out_degree + 1, d1 + (1ULL << 63)}}},
+  };
+  ThreadPool pool(4);
+  for (const auto& [name, words] : cases) {
+    std::map<std::uint64_t, std::uint64_t> saved;
+    for (const auto& [index, value] : words) {
+      saved[index] = poke_word(csr, index, value);
+    }
+    for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+      try {
+        const ShardStoreReader reader(dir.str(), p);
+        ADD_FAILURE() << name << ": expected CsbError at open";
+      } catch (const CsbError& error) {
+        EXPECT_NE(std::string(error.what()).find("csr.bin"),
+                  std::string::npos)
+            << name << ": " << error.what();
+      }
+    }
+    for (const auto& [index, value] : saved) poke_word(csr, index, value);
+  }
+  const ShardStoreReader intact(dir.str(), &pool);
+  EXPECT_NO_THROW(intact.verify(&pool));
+}
+
 TEST(ShardStoreErrorTest, ParallelVerifyMatchesSerialOnIntactStore) {
   const SeedBundle seed = small_seed(300);
   ScratchDir dir("par_intact");

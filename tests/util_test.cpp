@@ -232,6 +232,9 @@ struct CommaCase {
   const char* expected;
 };
 
+// A stable ctest name instead of the struct's pointer bytes.
+void PrintTo(const CommaCase& c, std::ostream* os) { *os << c.value; }
+
 class WithCommasTest : public ::testing::TestWithParam<CommaCase> {};
 
 TEST_P(WithCommasTest, Formats) {

@@ -195,7 +195,8 @@ TEST(StructuralKsTest, IdenticalGraphsScoreZero) {
   const SeedBundle seed = make_seed();
   ThreadPool pool(2);
   const StructuralKs ks =
-      evaluate_structural_ks(seed.graph, seed.graph, pool);
+      evaluate_structural_ks(seed.graph,
+                             CsrView(seed.graph, CsrDirection::kIn), pool);
   EXPECT_DOUBLE_EQ(ks.degree_ks, 0.0);
   EXPECT_DOUBLE_EQ(ks.pagerank_ks, 0.0);
 }
@@ -236,7 +237,9 @@ TEST(StructuralKsTest, PgskFastWithinBoundOfExact) {
   EXPECT_EQ(fast_result.graph.num_vertices(),
             exact_result.graph.num_vertices());
   const StructuralKs ks =
-      evaluate_structural_ks(exact_result.graph, fast_result.graph, pool);
+      evaluate_structural_ks(exact_result.graph,
+                             CsrView(fast_result.graph, CsrDirection::kIn),
+                             pool);
   EXPECT_LT(ks.degree_ks, 0.15);
   EXPECT_LT(ks.pagerank_ks, 0.15);
 }
@@ -268,7 +271,9 @@ TEST(StructuralKsTest, PgpbaFastWithinBoundOfExact) {
       pgpba_fast_generate(seed.graph, seed.profile, cluster_fast, fast);
 
   const StructuralKs ks =
-      evaluate_structural_ks(exact_result.graph, fast_result.graph, pool);
+      evaluate_structural_ks(exact_result.graph,
+                             CsrView(fast_result.graph, CsrDirection::kIn),
+                             pool);
   EXPECT_LT(ks.degree_ks, 0.05);
   EXPECT_LT(ks.pagerank_ks, 0.05);
 }

@@ -710,7 +710,7 @@ int cmd_veracity(const Args& args) {
   if (std::filesystem::is_directory(synth_path)) {
     // Shard-store synthetic side: stream degrees and PageRank off the
     // mmap'd CSR index — the edge list never materializes in RAM.
-    const ShardStoreReader reader(synth_path);
+    const ShardStoreReader reader(synth_path, &pool);
     CSB_CHECK_MSG(reader.has_csr(),
                   "shard store has no CSR index: " << synth_path);
     report = evaluate_veracity(seed, reader.csr(), pool);
@@ -806,7 +806,7 @@ int cmd_info(const Args& args) {
               << "\n  csr index:   " << (reader.has_csr() ? "yes" : "no")
               << "\n";
     if (reader.has_csr()) {
-      const CsrIndexView& csr = reader.csr();
+      const CsrView& csr = reader.csr();
       std::uint64_t max_degree = 0;
       for (VertexId v = 0; v < csr.num_vertices(); ++v) {
         max_degree = std::max(max_degree, csr.total_degree(v));
