@@ -8,15 +8,8 @@
 namespace csb {
 
 void PropertyRowsBuffer::reserve(std::size_t rows) {
-  protocol.reserve(rows);
-  src_port.reserve(rows);
-  dst_port.reserve(rows);
-  duration_ms.reserve(rows);
-  out_bytes.reserve(rows);
-  in_bytes.reserve(rows);
-  out_pkts.reserve(rows);
-  in_pkts.reserve(rows);
-  state.reserve(rows);
+  for_each_column(*this,
+                  [rows](std::size_t, auto& column) { column.reserve(rows); });
 }
 
 void PropertyRowsBuffer::push_back(const EdgeProperties& props) {

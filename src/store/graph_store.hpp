@@ -53,6 +53,20 @@ struct PropertyRowsView {
   std::span<const ConnState> state;
 
   [[nodiscard]] std::size_t size() const noexcept { return protocol.size(); }
+  /// Row `i` as one EdgeProperties record.
+  [[nodiscard]] EdgeProperties row(std::size_t i) const noexcept {
+    return EdgeProperties{
+        .protocol = protocol[i],
+        .src_port = src_port[i],
+        .dst_port = dst_port[i],
+        .duration_ms = duration_ms[i],
+        .out_bytes = out_bytes[i],
+        .in_bytes = in_bytes[i],
+        .out_pkts = out_pkts[i],
+        .in_pkts = in_pkts[i],
+        .state = state[i],
+    };
+  }
 };
 
 /// Column-form staging buffer for one property chunk; samplers fill it row
@@ -72,6 +86,21 @@ struct PropertyRowsBuffer {
   void push_back(const EdgeProperties& props);
   [[nodiscard]] PropertyRowsView view() const noexcept;
 };
+
+/// Calls fn(c, column) for the nine columns of a PropertyRowsView or
+/// PropertyRowsBuffer, c the column's index in schema order.
+template <typename Rows, typename Fn>
+void for_each_column(Rows& rows, Fn&& fn) {
+  fn(0, rows.protocol);
+  fn(1, rows.src_port);
+  fn(2, rows.dst_port);
+  fn(3, rows.duration_ms);
+  fn(4, rows.out_bytes);
+  fn(5, rows.in_bytes);
+  fn(6, rows.out_pkts);
+  fn(7, rows.in_pkts);
+  fn(8, rows.state);
+}
 
 /// The polymorphic generation sink. Call sequence: begin() once, then any
 /// number of put_edges / put_properties calls (thread-safe, any order, each
