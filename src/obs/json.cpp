@@ -21,7 +21,8 @@ double JsonValue::as_number() const {
 
 std::uint64_t JsonValue::as_u64() const {
   const double value = as_number();
-  CSB_CHECK_MSG(value >= 0.0, "JSON number is negative, expected unsigned");
+  CSB_CHECK_MSG(value >= 0.0 && value < 0x1p64,
+                "JSON number is not a u64: " << value);
   return static_cast<std::uint64_t>(value);
 }
 

@@ -63,6 +63,14 @@ TEST(JsonTest, MalformedInputThrows) {
   EXPECT_THROW(parse_json("nope"), CsbError);
 }
 
+TEST(JsonTest, AsU64RejectsValuesOutsideU64) {
+  EXPECT_EQ(parse_json("18446744073709549568").as_u64(),
+            18446744073709549568ULL);
+  EXPECT_THROW((void)parse_json("-1").as_u64(), CsbError);
+  EXPECT_THROW((void)parse_json("18446744073709551616").as_u64(), CsbError);
+  EXPECT_THROW((void)parse_json("1e30").as_u64(), CsbError);
+}
+
 // ----------------------------------------------------------- trace lines
 
 // Fixed records whose rendering the golden file pins down.

@@ -219,6 +219,70 @@ TEST_P(FuzzSeedTest, CsrBinMutantsThrowAtOpenOrScoreFinite) {
   EXPECT_GT(accepted, 0);
 }
 
+// Mutates manifest.json (byte flips, truncations) and the shard files
+// (8-byte words). Every mutant either throws a CsbError naming a file of
+// the store at open, verify() or to_property_graph(), or passes all three.
+TEST_P(FuzzSeedTest, ShardStoreMutantsThrowNamingAFileOrPassEveryCheck) {
+  namespace fs = std::filesystem;
+  Rng rng(GetParam() ^ 0x5ad);
+  const std::uint64_t n = 64;
+  PropertyGraph graph(n);
+  for (std::uint64_t e = 0; e < 400; ++e) {
+    graph.add_edge(rng.uniform(n), rng.uniform(n),
+                   EdgeProperties{.src_port = static_cast<std::uint16_t>(e),
+                                  .out_bytes = rng.uniform(1 << 20)});
+  }
+  const fs::path dir = fs::temp_directory_path() /
+                       ("csb_shard_fuzz_" + std::to_string(::getpid()) + "_" +
+                        std::to_string(GetParam()));
+  fs::remove_all(dir);
+  ShardStore store(
+      ShardStoreOptions{.directory = dir.string(), .shard_count = 2});
+  replay_graph_into(graph, store, 0);
+  const auto read_bytes = [](const fs::path& path) {
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in), {});
+  };
+  const char* const names[] = {"manifest.json", "edges-0000.bin",
+                               "edges-0001.bin", "props-0000.bin",
+                               "props-0001.bin"};
+  int rejected = 0;
+  for (int i = 0; i < 200; ++i) {
+    const fs::path victim = dir / names[rng.uniform(std::size(names))];
+    const std::string pristine = read_bytes(victim);
+    std::string mutant = pristine;
+    if (victim.extension() == ".json") {
+      if (rng.uniform(2) == 0) {
+        mutant[rng.uniform(mutant.size())] ^=
+            static_cast<char>(1 + rng.uniform(255));
+      } else {
+        mutant.resize(rng.uniform(mutant.size()));
+      }
+    } else {
+      const std::uint64_t word = 1 + rng.uniform(~0ULL);
+      const std::size_t at = 8 * rng.uniform(mutant.size() / 8);
+      for (std::size_t b = 0; b < 8; ++b) {
+        mutant[at + b] ^= static_cast<char>(word >> (8 * b));
+      }
+    }
+    std::ofstream(victim, std::ios::binary | std::ios::trunc) << mutant;
+    try {
+      const ShardStoreReader reader(dir.string());
+      reader.verify();
+      (void)reader.to_property_graph();
+    } catch (const CsbError& error) {
+      EXPECT_NE(std::string(error.what()).find(dir.string()),
+                std::string::npos)
+          << i << " (" << victim.filename() << "): " << error.what();
+      ++rejected;
+    }
+    std::ofstream(victim, std::ios::binary | std::ios::trunc) << pristine;
+  }
+  EXPECT_EQ(ShardStoreReader(dir.string()).to_property_graph(), graph);
+  fs::remove_all(dir);
+  EXPECT_GT(rejected, 0);
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzSeedTest,
                          ::testing::Values(1, 2, 3, 4));
 
