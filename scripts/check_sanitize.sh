@@ -10,7 +10,9 @@
 # thread pool, the flat hash set, the list scheduler, and the observability
 # layer (trace recorder, metrics registry, NDJSON parser, generator
 # registry), plus the hostile-input fuzzers (robustness_test, including
-# the csr.bin mutation loop), the CSR tests and the adjacency oracle.
+# the csr.bin and shard-store mutation loops), the CSR tests, the
+# adjacency oracle and the GraphFormat round trips (the `shards` load path
+# streams a store through a MemoryStore).
 # Meant as a quick local gate after touching the mr/, util/, obs/, graph/
 # or store/ hot paths; pass a gtest-style filter regex as $1 to widen or narrow
 # the selection. Finishes with the trace-overhead micro bench under the
@@ -25,7 +27,7 @@ cd "$(dirname "$0")/.."
 # optional clang-tidy pass. Cheapest gate, so it fails fastest.
 ./scripts/check_lint.sh
 
-FILTER="${1:-ClusterSim|Dataset|ThreadPool|FlatSet|ListSchedule|Operations|Trace|Metrics|Json|MemWatch|GeneratorRegistry|SimplifyParallel|KronFit|ParallelFor|ShardStore|ExternalDistinct|FuzzSeed|Robustness|Csr|AdjacencyOracle}"
+FILTER="${1:-ClusterSim|Dataset|ThreadPool|FlatSet|ListSchedule|Operations|Trace|Metrics|Json|MemWatch|GeneratorRegistry|SimplifyParallel|KronFit|ParallelFor|ShardStore|ExternalDistinct|FuzzSeed|Robustness|Csr|AdjacencyOracle|GraphFormat}"
 
 cmake -B build-asan -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
