@@ -10,9 +10,11 @@
 # thread pool, the flat hash set, the list scheduler, and the observability
 # layer (trace recorder, metrics registry, NDJSON parser, generator
 # registry), plus the hostile-input fuzzers (robustness_test, including
-# the csr.bin and shard-store mutation loops), the CSR tests, the
-# adjacency oracle and the GraphFormat round trips (the `shards` load path
-# streams a store through a MemoryStore).
+# the csr.bin, shard-store and valid-input mutation loops), the CSR tests,
+# the adjacency oracle, the GraphFormat round trips (the `shards` load path
+# streams a store through a MemoryStore) and every file loader's own suite
+# (pcap, binary/CSV/GraphML graphs, seed profiles, NetFlow CSV, the
+# ByteReader and the number parser).
 # Meant as a quick local gate after touching the mr/, util/, obs/, graph/
 # or store/ hot paths; pass a gtest-style filter regex as $1 to widen or narrow
 # the selection. Finishes with the trace-overhead micro bench under the
@@ -27,7 +29,7 @@ cd "$(dirname "$0")/.."
 # optional clang-tidy pass. Cheapest gate, so it fails fastest.
 ./scripts/check_lint.sh
 
-FILTER="${1:-ClusterSim|Dataset|ThreadPool|FlatSet|ListSchedule|Operations|Trace|Metrics|Json|MemWatch|GeneratorRegistry|SimplifyParallel|KronFit|ParallelFor|ShardStore|ExternalDistinct|FuzzSeed|Robustness|Csr|AdjacencyOracle|GraphFormat}"
+FILTER="${1:-ClusterSim|Dataset|ThreadPool|FlatSet|ListSchedule|Operations|Trace|Metrics|Json|MemWatch|GeneratorRegistry|SimplifyParallel|KronFit|ParallelFor|ShardStore|ExternalDistinct|FuzzSeed|Robustness|Csr|AdjacencyOracle|GraphFormat|PcapFile|BinaryIo|CsvIo|Graphml|SeedProfileIo|NetflowIo|ByteReader|ParseNumber}"
 
 cmake -B build-asan -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
@@ -45,8 +47,9 @@ ctest --test-dir build-asan -R "$FILTER" --output-on-failure -j "$(nproc)"
 ./build-asan/bench/trace_overhead --reps=2
 
 # Pure-UBSan pass (build-ubsan/) over the deterministic modules' FULL test
-# suites — gen, graph, stats, util, plus the robustness fuzzers and the
-# adjacency oracle. UBSan without ASan is cheap enough to
+# suites — gen, graph, stats, util, plus the robustness fuzzers, the
+# adjacency oracle and the pcap, flow and seed suites (their loaders read
+# unaligned fields out of file bytes). UBSan without ASan is cheap enough to
 # run everything, and it is the gate that matters for byte-identical
 # output: shift overflow, signed wrap and misaligned loads are exactly the
 # UB classes that silently change emitted bytes between optimization
@@ -59,11 +62,11 @@ cmake -B build-ubsan -S . \
   -DCSB_BUILD_EXAMPLES=OFF
 cmake --build build-ubsan -j "$(nproc)" \
   --target util_test stats_test graph_test gen_test robustness_test \
-  adjacency_oracle_test
+  adjacency_oracle_test pcap_test flow_test seed_test
 
 export UBSAN_OPTIONS="print_stacktrace=1:halt_on_error=1"
 for suite in util_test stats_test graph_test gen_test robustness_test \
-  adjacency_oracle_test; do
+  adjacency_oracle_test pcap_test flow_test seed_test; do
   "./build-ubsan/tests/${suite}" --gtest_brief=1
 done
 

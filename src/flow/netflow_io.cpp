@@ -1,13 +1,41 @@
 #include "flow/netflow_io.hpp"
 
+#include <array>
 #include <fstream>
 #include <istream>
+#include <optional>
 #include <ostream>
 #include <sstream>
+#include <type_traits>
 
 #include "util/error.hpp"
+#include "util/format.hpp"
 
 namespace csb {
+
+namespace {
+
+constexpr std::array<std::string_view, 14> kColumns = {
+    "src_ip",   "dst_ip",   "protocol", "src_port",  "dst_port",
+    "first_us", "last_us",  "out_bytes", "in_bytes", "out_pkts",
+    "in_pkts",  "syn_count", "ack_count", "state"};
+
+/// Dotted-quad text as a host-order address; nullopt unless it is exactly
+/// four decimal octets.
+std::optional<std::uint32_t> parse_ip(std::string_view text) {
+  std::vector<std::string_view> octets;
+  split_fields(text, '.', octets);
+  if (octets.size() != 4) return std::nullopt;
+  std::uint32_t ip = 0;
+  for (const std::string_view octet : octets) {
+    const auto value = parse_number<std::uint8_t>(octet);
+    if (!value) return std::nullopt;
+    ip = (ip << 8) | *value;
+  }
+  return ip;
+}
+
+}  // namespace
 
 std::string ip_to_string(std::uint32_t ip) {
   std::ostringstream os;
@@ -17,57 +45,17 @@ std::string ip_to_string(std::uint32_t ip) {
 }
 
 std::uint32_t ip_from_string(const std::string& text) {
-  std::uint32_t parts[4];
-  std::size_t at = 0;
-  for (int i = 0; i < 4; ++i) {
-    std::size_t consumed = 0;
-    CSB_CHECK_MSG(at < text.size(), "malformed IPv4 address: " << text);
-    unsigned long value = 0;
-    try {
-      value = std::stoul(text.substr(at), &consumed, 10);
-    } catch (const std::exception&) {
-      throw CsbError("malformed IPv4 address: " + text);
-    }
-    CSB_CHECK_MSG(value <= 255, "malformed IPv4 address: " << text);
-    parts[i] = static_cast<std::uint32_t>(value);
-    at += consumed;
-    if (i < 3) {
-      CSB_CHECK_MSG(at < text.size() && text[at] == '.',
-                    "malformed IPv4 address: " << text);
-      ++at;
-    }
-  }
-  CSB_CHECK_MSG(at == text.size(), "malformed IPv4 address: " << text);
-  return (parts[0] << 24) | (parts[1] << 16) | (parts[2] << 8) | parts[3];
+  const auto ip = parse_ip(text);
+  if (!ip) throw CsbError("malformed IPv4 address: " + text);
+  return *ip;
 }
-
-namespace {
-
-Protocol protocol_from_name(const std::string& s) {
-  if (s == "TCP") return Protocol::kTcp;
-  if (s == "UDP") return Protocol::kUdp;
-  if (s == "ICMP") return Protocol::kIcmp;
-  throw CsbError("unknown protocol: " + s);
-}
-
-ConnState state_from_name(const std::string& s) {
-  if (s == "-") return ConnState::kNone;
-  if (s == "S0") return ConnState::kS0;
-  if (s == "S1") return ConnState::kS1;
-  if (s == "SF") return ConnState::kSF;
-  if (s == "REJ") return ConnState::kRej;
-  if (s == "RSTO") return ConnState::kRsto;
-  if (s == "RSTR") return ConnState::kRstr;
-  if (s == "OTH") return ConnState::kOth;
-  throw CsbError("unknown conn state: " + s);
-}
-
-}  // namespace
 
 void save_netflow_csv(const std::vector<NetflowRecord>& records,
                       std::ostream& out) {
-  out << "src_ip,dst_ip,protocol,src_port,dst_port,first_us,last_us,"
-         "out_bytes,in_bytes,out_pkts,in_pkts,syn_count,ack_count,state\n";
+  for (std::size_t i = 0; i < kColumns.size(); ++i) {
+    out << (i == 0 ? "" : ",") << kColumns[i];
+  }
+  out << '\n';
   for (const auto& r : records) {
     out << ip_to_string(r.src_ip) << ',' << ip_to_string(r.dst_ip) << ','
         << to_string(r.protocol) << ',' << r.src_port << ',' << r.dst_port
@@ -79,35 +67,47 @@ void save_netflow_csv(const std::vector<NetflowRecord>& records,
   CSB_CHECK_MSG(out.good(), "failed writing netflow CSV");
 }
 
-std::vector<NetflowRecord> load_netflow_csv(std::istream& in) {
+std::vector<NetflowRecord> load_netflow_csv(std::istream& in,
+                                            const std::string& name) {
   std::string line;
-  CSB_CHECK_MSG(static_cast<bool>(std::getline(in, line)),
-                "empty netflow CSV");
-  CSB_CHECK_MSG(line.rfind("src_ip,", 0) == 0, "missing netflow CSV header");
+  if (!std::getline(in, line)) throw CsbError(name + ": empty netflow CSV");
+  if (line.rfind("src_ip,", 0) != 0) {
+    throw CsbError(name + ":1: missing netflow CSV header");
+  }
   std::vector<NetflowRecord> records;
-  std::vector<std::string> fields;
-  while (std::getline(in, line)) {
+  std::vector<std::string_view> fields;
+  for (std::uint64_t line_no = 2; std::getline(in, line); ++line_no) {
     if (line.empty()) continue;
-    fields.clear();
-    std::stringstream ss(line);
-    std::string field;
-    while (std::getline(ss, field, ',')) fields.push_back(field);
-    CSB_CHECK_MSG(fields.size() == 14, "bad netflow CSV row: " << line);
+    split_fields(line, ',', fields);
+    if (fields.size() != kColumns.size()) {
+      throw CsbError(name + ":" + std::to_string(line_no) + ": " +
+                     std::to_string(fields.size()) + " fields, expected " +
+                     std::to_string(kColumns.size()));
+    }
+    const auto number = [&](std::size_t i, auto& out) {
+      out = parse_field<std::remove_reference_t<decltype(out)>>(
+          fields[i], name, line_no, kColumns[i]);
+    };
+    const auto checked = [&](std::size_t i, const auto& value,
+                             std::string_view expected) {
+      if (!value) field_error(name, line_no, kColumns[i], fields[i], expected);
+      return *value;
+    };
     NetflowRecord r;
-    r.src_ip = ip_from_string(fields[0]);
-    r.dst_ip = ip_from_string(fields[1]);
-    r.protocol = protocol_from_name(fields[2]);
-    r.src_port = static_cast<std::uint16_t>(std::stoul(fields[3]));
-    r.dst_port = static_cast<std::uint16_t>(std::stoul(fields[4]));
-    r.first_us = std::stoull(fields[5]);
-    r.last_us = std::stoull(fields[6]);
-    r.out_bytes = std::stoull(fields[7]);
-    r.in_bytes = std::stoull(fields[8]);
-    r.out_pkts = static_cast<std::uint32_t>(std::stoul(fields[9]));
-    r.in_pkts = static_cast<std::uint32_t>(std::stoul(fields[10]));
-    r.syn_count = static_cast<std::uint32_t>(std::stoul(fields[11]));
-    r.ack_count = static_cast<std::uint32_t>(std::stoul(fields[12]));
-    r.state = state_from_name(fields[13]);
+    r.src_ip = checked(0, parse_ip(fields[0]), "an IPv4 address");
+    r.dst_ip = checked(1, parse_ip(fields[1]), "an IPv4 address");
+    r.protocol = checked(2, protocol_from_string(fields[2]), "a protocol");
+    number(3, r.src_port);
+    number(4, r.dst_port);
+    number(5, r.first_us);
+    number(6, r.last_us);
+    number(7, r.out_bytes);
+    number(8, r.in_bytes);
+    number(9, r.out_pkts);
+    number(10, r.in_pkts);
+    number(11, r.syn_count);
+    number(12, r.ack_count);
+    r.state = checked(13, state_from_string(fields[13]), "a connection state");
     records.push_back(r);
   }
   return records;
@@ -123,7 +123,7 @@ void save_netflow_csv_file(const std::vector<NetflowRecord>& records,
 std::vector<NetflowRecord> load_netflow_csv_file(const std::string& path) {
   std::ifstream in(path);
   CSB_CHECK_MSG(in.is_open(), "cannot open for reading: " << path);
-  return load_netflow_csv(in);
+  return load_netflow_csv(in, path);
 }
 
 }  // namespace csb

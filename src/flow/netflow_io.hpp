@@ -12,7 +12,10 @@ namespace csb {
 
 void save_netflow_csv(const std::vector<NetflowRecord>& records,
                       std::ostream& out);
-std::vector<NetflowRecord> load_netflow_csv(std::istream& in);
+/// Row errors read "<name>:<line>: field '<column>': '<text>' is not …";
+/// load_netflow_csv_file passes the file's path as the name.
+std::vector<NetflowRecord> load_netflow_csv(
+    std::istream& in, const std::string& name = "<stream>");
 
 void save_netflow_csv_file(const std::vector<NetflowRecord>& records,
                            const std::string& path);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <charconv>
 #include <cmath>
 #include <functional>
 #include <mutex>
@@ -16,31 +15,21 @@
 #include "graph/algorithms.hpp"
 #include "obs/trace.hpp"
 #include "util/error.hpp"
+#include "util/format.hpp"
 
 namespace csb {
 
 namespace {
 
-std::uint64_t parse_u64_strict(const std::string& key,
-                               const std::string& text) {
-  std::uint64_t value = 0;
-  const auto [ptr, ec] =
-      std::from_chars(text.data(), text.data() + text.size(), value);
-  CSB_CHECK_MSG(ec == std::errc{} && ptr == text.data() + text.size(),
-                "option '" << key << "': '" << text
-                           << "' is not an unsigned integer");
-  return value;
-}
-
-double parse_double_strict(const std::string& key, const std::string& text) {
-  double value = 0.0;
-  const auto [ptr, ec] =
-      std::from_chars(text.data(), text.data() + text.size(), value);
-  CSB_CHECK_MSG(ec == std::errc{} && ptr == text.data() + text.size() &&
-                    std::isfinite(value),
-                "option '" << key << "': '" << text
-                           << "' is not a finite number");
-  return value;
+/// The value of option `key` as a T, or a CsbError naming the option.
+template <typename T>
+T option_number(const std::string& key, const std::string& text) {
+  const auto value = parse_number<T>(text);
+  CSB_CHECK_MSG(value, "option '" << key << "': '" << text << "' is not "
+                                  << (std::is_floating_point_v<T>
+                                          ? "a finite number"
+                                          : "an unsigned integer"));
+  return *value;
 }
 
 }  // namespace
@@ -54,12 +43,13 @@ std::string GenConfig::get(const std::string& key,
 std::uint64_t GenConfig::get_u64(const std::string& key,
                                  std::uint64_t fallback) const {
   const auto it = extra.find(key);
-  return it == extra.end() ? fallback : parse_u64_strict(key, it->second);
+  return it == extra.end() ? fallback
+                           : option_number<std::uint64_t>(key, it->second);
 }
 
 double GenConfig::get_double(const std::string& key, double fallback) const {
   const auto it = extra.find(key);
-  return it == extra.end() ? fallback : parse_double_strict(key, it->second);
+  return it == extra.end() ? fallback : option_number<double>(key, it->second);
 }
 
 bool GenConfig::get_flag(const std::string& key) const {
@@ -70,10 +60,10 @@ bool GenConfig::get_flag(const std::string& key) const {
 void check_option_value(const OptionSpec& spec, const std::string& value) {
   switch (spec.kind) {
     case OptionKind::kU64:
-      (void)parse_u64_strict(spec.name, value);
+      (void)option_number<std::uint64_t>(spec.name, value);
       break;
     case OptionKind::kDouble:
-      (void)parse_double_strict(spec.name, value);
+      (void)option_number<double>(spec.name, value);
       break;
     case OptionKind::kFlag:
     case OptionKind::kString:

@@ -1,15 +1,20 @@
 #include "graph/graph_io.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 #include <fstream>
 #include <istream>
 #include <iterator>
+#include <optional>
 #include <ostream>
-#include <sstream>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
+#include "util/byte_reader.hpp"
 #include "util/error.hpp"
+#include "util/format.hpp"
 
 namespace csb {
 
@@ -19,53 +24,47 @@ constexpr char kMagic[4] = {'C', 'S', 'B', 'G'};
 constexpr std::uint32_t kVersion = 1;
 
 template <typename T>
-void write_pod(std::ostream& out, const T& value) {
-  out.write(reinterpret_cast<const char*>(&value), sizeof value);
-}
-
-template <typename T>
-T read_pod(std::istream& in) {
-  T value{};
-  in.read(reinterpret_cast<char*>(&value), sizeof value);
-  CSB_CHECK_MSG(in.good(), "truncated binary graph stream");
-  return value;
-}
-
-template <typename T>
 void write_column(std::ostream& out, std::span<const T> column) {
   out.write(reinterpret_cast<const char*>(column.data()),
             static_cast<std::streamsize>(column.size() * sizeof(T)));
 }
 
-template <typename T>
-std::vector<T> read_column(std::istream& in, std::uint64_t count) {
-  std::vector<T> column(count);
-  in.read(reinterpret_cast<char*>(column.data()),
-          static_cast<std::streamsize>(count * sizeof(T)));
-  CSB_CHECK_MSG(in.good() || (in.eof() && in.gcount() ==
-                                              static_cast<std::streamsize>(
-                                                  count * sizeof(T))),
-                "truncated binary graph stream");
-  return column;
-}
+constexpr std::array<std::string_view, 11> kCsvColumns = {
+    "src",       "dst",      "protocol", "src_port", "dst_port", "duration_ms",
+    "out_bytes", "in_bytes", "out_pkts", "in_pkts",  "state"};
 
-Protocol protocol_from_string(const std::string& s) {
-  if (s == "TCP") return Protocol::kTcp;
-  if (s == "UDP") return Protocol::kUdp;
-  if (s == "ICMP") return Protocol::kIcmp;
-  throw CsbError("unknown protocol in CSV: " + s);
-}
-
-ConnState state_from_string(const std::string& s) {
-  if (s == "-") return ConnState::kNone;
-  if (s == "S0") return ConnState::kS0;
-  if (s == "S1") return ConnState::kS1;
-  if (s == "SF") return ConnState::kSF;
-  if (s == "REJ") return ConnState::kRej;
-  if (s == "RSTO") return ConnState::kRsto;
-  if (s == "RSTR") return ConnState::kRstr;
-  if (s == "OTH") return ConnState::kOth;
-  throw CsbError("unknown conn state in CSV: " + s);
+/// Sets the property named `key` (a CSV column or GraphML data key) from
+/// `text`; other keys are ignored (foreign GraphML exports carry more).
+void set_property(EdgeProperties& p, std::string_view key,
+                  std::string_view text, const std::string& source,
+                  std::uint64_t line) {
+  const auto number = [&](auto& out) {
+    out = parse_field<std::remove_reference_t<decltype(out)>>(text, source,
+                                                              line, key);
+  };
+  const auto checked = [&](const auto& value, std::string_view expected) {
+    if (!value) field_error(source, line, key, text, expected);
+    return *value;
+  };
+  if (key == "protocol") {
+    p.protocol = checked(protocol_from_string(text), "a protocol");
+  } else if (key == "src_port") {
+    number(p.src_port);
+  } else if (key == "dst_port") {
+    number(p.dst_port);
+  } else if (key == "duration_ms") {
+    number(p.duration_ms);
+  } else if (key == "out_bytes") {
+    number(p.out_bytes);
+  } else if (key == "in_bytes") {
+    number(p.in_bytes);
+  } else if (key == "out_pkts") {
+    number(p.out_pkts);
+  } else if (key == "in_pkts") {
+    number(p.in_pkts);
+  } else if (key == "state") {
+    p.state = checked(state_from_string(text), "a connection state");
+  }
 }
 
 }  // namespace
@@ -93,52 +92,65 @@ void save_binary(const PropertyGraph& graph, std::ostream& out) {
   CSB_CHECK_MSG(out.good(), "failed writing binary graph stream");
 }
 
-PropertyGraph load_binary(std::istream& in) {
-  char magic[4];
-  in.read(magic, sizeof magic);
-  CSB_CHECK_MSG(in.good() && std::memcmp(magic, kMagic, sizeof kMagic) == 0,
-                "not a csb binary graph (bad magic)");
-  const auto version = read_pod<std::uint32_t>(in);
-  CSB_CHECK_MSG(version == kVersion, "unsupported binary graph version");
-  const auto vertices = read_pod<std::uint64_t>(in);
-  const auto edges = read_pod<std::uint64_t>(in);
-  const auto has_props = read_pod<std::uint8_t>(in);
-  // Plausibility caps keep a corrupted header from driving a huge
-  // allocation before the truncation check can fire.
-  CSB_CHECK_MSG(vertices <= (1ULL << 44) && edges <= (1ULL << 40),
-                "implausible graph size in binary stream");
-
-  const auto src = read_column<VertexId>(in, edges);
-  const auto dst = read_column<VertexId>(in, edges);
-
-  PropertyGraph graph(vertices);
-  graph.reserve_edges(edges);
-  if (!has_props) {
-    for (std::uint64_t e = 0; e < edges; ++e) graph.add_edge(src[e], dst[e]);
-    return graph;
+PropertyGraph load_binary(std::span<const std::uint8_t> bytes,
+                          const std::string& name) {
+  ByteReader in(bytes, name);
+  if (in.remaining() < sizeof kMagic ||
+      std::memcmp(bytes.data(), kMagic, sizeof kMagic) != 0) {
+    in.fail("not a csb binary graph (bad magic)");
   }
-  const auto protocol = read_column<Protocol>(in, edges);
-  const auto src_port = read_column<std::uint16_t>(in, edges);
-  const auto dst_port = read_column<std::uint16_t>(in, edges);
-  const auto duration = read_column<std::uint32_t>(in, edges);
-  const auto out_bytes = read_column<std::uint64_t>(in, edges);
-  const auto in_bytes = read_column<std::uint64_t>(in, edges);
-  const auto out_pkts = read_column<std::uint32_t>(in, edges);
-  const auto in_pkts = read_column<std::uint32_t>(in, edges);
-  const auto state = read_column<ConnState>(in, edges);
-  for (std::uint64_t e = 0; e < edges; ++e) {
-    graph.add_edge(src[e], dst[e],
-                   EdgeProperties{
-                       .protocol = protocol[e],
-                       .src_port = src_port[e],
-                       .dst_port = dst_port[e],
-                       .duration_ms = duration[e],
-                       .out_bytes = out_bytes[e],
-                       .in_bytes = in_bytes[e],
-                       .out_pkts = out_pkts[e],
-                       .in_pkts = in_pkts[e],
-                       .state = state[e],
-                   });
+  in.skip(sizeof kMagic);
+  if (in.read<std::uint32_t>() != kVersion) {
+    in.fail("unsupported binary graph version");
+  }
+  const auto vertices = in.read<std::uint64_t>();
+  const auto edges = in.read<std::uint64_t>();
+  const bool has_props = in.read<std::uint8_t>() != 0;
+  // A vertex count sizes every per-vertex array downstream; the edge count
+  // must fit the bytes that are actually there.
+  if (vertices > (1ULL << 44)) {
+    in.fail("implausible vertex count " + std::to_string(vertices));
+  }
+  if (edges > in.remaining() / PropertyGraph::bytes_per_edge(has_props)) {
+    in.fail("edge count " + std::to_string(edges) + " exceeds the " +
+            std::to_string(in.remaining()) + " bytes left");
+  }
+
+  auto src = in.read_column<VertexId>(edges);
+  auto dst = in.read_column<VertexId>(edges);
+  if (edges > 0 && std::max(*std::max_element(src.begin(), src.end()),
+                            *std::max_element(dst.begin(), dst.end())) >=
+                       vertices) {
+    in.fail("an edge endpoint is not below the vertex count");
+  }
+  PropertyGraph graph = PropertyGraph::from_columns_unchecked(
+      vertices, std::move(src), std::move(dst));
+  if (!has_props) return graph;
+  // The property columns are copied row by row straight from the input, so
+  // the load holds the input plus the graph and no third copy.
+  ByteReader protocol = in.sub(edges * sizeof(Protocol));
+  ByteReader src_port = in.sub(edges * sizeof(std::uint16_t));
+  ByteReader dst_port = in.sub(edges * sizeof(std::uint16_t));
+  ByteReader duration = in.sub(edges * sizeof(std::uint32_t));
+  ByteReader out_bytes = in.sub(edges * sizeof(std::uint64_t));
+  ByteReader in_bytes = in.sub(edges * sizeof(std::uint64_t));
+  ByteReader out_pkts = in.sub(edges * sizeof(std::uint32_t));
+  ByteReader in_pkts = in.sub(edges * sizeof(std::uint32_t));
+  ByteReader state = in.sub(edges * sizeof(ConnState));
+  graph.ensure_properties_for_overwrite();
+  for (EdgeId e = 0; e < edges; ++e) {
+    graph.set_edge_properties(
+        e, EdgeProperties{
+               .protocol = protocol.read<Protocol>(),
+               .src_port = src_port.read<std::uint16_t>(),
+               .dst_port = dst_port.read<std::uint16_t>(),
+               .duration_ms = duration.read<std::uint32_t>(),
+               .out_bytes = out_bytes.read<std::uint64_t>(),
+               .in_bytes = in_bytes.read<std::uint64_t>(),
+               .out_pkts = out_pkts.read<std::uint32_t>(),
+               .in_pkts = in_pkts.read<std::uint32_t>(),
+               .state = state.read<ConnState>(),
+           });
   }
   return graph;
 }
@@ -150,14 +162,14 @@ void save_binary_file(const PropertyGraph& graph, const std::string& path) {
 }
 
 PropertyGraph load_binary_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  CSB_CHECK_MSG(in.is_open(), "cannot open for reading: " << path);
-  return load_binary(in);
+  return load_binary(read_file(path), path);
 }
 
 void save_csv(const PropertyGraph& graph, std::ostream& out) {
-  out << "src,dst,protocol,src_port,dst_port,duration_ms,out_bytes,in_bytes,"
-         "out_pkts,in_pkts,state\n";
+  for (std::size_t i = 0; i < kCsvColumns.size(); ++i) {
+    out << (i == 0 ? "" : ",") << kCsvColumns[i];
+  }
+  out << '\n';
   const bool props = graph.has_properties();
   for (EdgeId e = 0; e < graph.num_edges(); ++e) {
     out << graph.edge_src(e) << ',' << graph.edge_dst(e);
@@ -175,61 +187,47 @@ void save_csv(const PropertyGraph& graph, std::ostream& out) {
   CSB_CHECK_MSG(out.good(), "failed writing CSV graph stream");
 }
 
-PropertyGraph load_csv(std::istream& in) {
+PropertyGraph load_csv(std::istream& in, const std::string& name) {
   std::string line;
-  CSB_CHECK_MSG(static_cast<bool>(std::getline(in, line)),
-                "empty CSV graph stream");
-  CSB_CHECK_MSG(line.rfind("src,dst", 0) == 0, "missing CSV header");
+  if (!std::getline(in, line)) throw CsbError(name + ": empty CSV graph");
+  if (line.rfind("src,dst", 0) != 0) {
+    throw CsbError(name + ":1: missing CSV header");
+  }
 
   PropertyGraph graph;
-  VertexId max_vertex = 0;
-  std::vector<std::string> fields;
-  bool saw_edge = false;
-  // Two passes are avoided by buffering rows; typical CSV graphs are small
-  // (the binary format is the scale path).
-  struct Row {
-    VertexId src, dst;
-    bool has_props;
-    EdgeProperties props;
-  };
-  std::vector<Row> rows;
-  while (std::getline(in, line)) {
+  std::vector<std::string_view> fields;
+  for (std::uint64_t line_no = 2; std::getline(in, line); ++line_no) {
     if (line.empty()) continue;
-    fields.clear();
-    std::stringstream ss(line);
-    std::string field;
-    while (std::getline(ss, field, ',')) fields.push_back(field);
-    // A trailing empty field (props-less rows) is dropped by getline; pad.
-    while (fields.size() < 11) fields.emplace_back();
-    CSB_CHECK_MSG(fields.size() == 11, "bad CSV row: " << line);
-    Row row{};
-    row.src = std::stoull(fields[0]);
-    row.dst = std::stoull(fields[1]);
-    row.has_props = !fields[2].empty();
-    if (row.has_props) {
-      row.props.protocol = protocol_from_string(fields[2]);
-      row.props.src_port = static_cast<std::uint16_t>(std::stoul(fields[3]));
-      row.props.dst_port = static_cast<std::uint16_t>(std::stoul(fields[4]));
-      row.props.duration_ms = static_cast<std::uint32_t>(std::stoul(fields[5]));
-      row.props.out_bytes = std::stoull(fields[6]);
-      row.props.in_bytes = std::stoull(fields[7]);
-      row.props.out_pkts = static_cast<std::uint32_t>(std::stoul(fields[8]));
-      row.props.in_pkts = static_cast<std::uint32_t>(std::stoul(fields[9]));
-      row.props.state = state_from_string(fields[10]);
+    split_fields(line, ',', fields);
+    // Structure-only rows may leave out the empty property fields.
+    if (fields.size() < kCsvColumns.size()) fields.resize(kCsvColumns.size());
+    const auto fail = [&](const std::string& what) {
+      throw CsbError(name + ":" + std::to_string(line_no) + ": " + what);
+    };
+    if (fields.size() != kCsvColumns.size()) {
+      fail(std::to_string(fields.size()) + " fields, expected " +
+           std::to_string(kCsvColumns.size()));
     }
-    max_vertex = std::max({max_vertex, row.src, row.dst});
-    rows.push_back(row);
-    saw_edge = true;
-  }
-  if (saw_edge) graph.add_vertices(max_vertex + 1);
-  for (const Row& row : rows) {
-    CSB_CHECK_MSG(row.has_props == rows.front().has_props,
-                  "CSV mixes property and structure-only rows");
-    if (row.has_props) {
-      graph.add_edge(row.src, row.dst, row.props);
-    } else {
-      graph.add_edge(row.src, row.dst);
+    const auto src = parse_field<VertexId>(fields[0], name, line_no, "src");
+    const auto dst = parse_field<VertexId>(fields[1], name, line_no, "dst");
+    const bool has_props = !fields[2].empty();
+    if (graph.num_edges() > 0 && has_props != graph.has_properties()) {
+      fail("CSV mixes property and structure-only rows");
     }
+    // Vertex ids are dense: the graph grows to the largest id seen.
+    const VertexId top = std::max(src, dst);
+    if (top >= graph.num_vertices()) {
+      graph.add_vertices(top - graph.num_vertices() + 1);
+    }
+    if (!has_props) {
+      graph.add_edge(src, dst);
+      continue;
+    }
+    EdgeProperties p;
+    for (std::size_t i = 2; i < kCsvColumns.size(); ++i) {
+      set_property(p, kCsvColumns[i], fields[i], name, line_no);
+    }
+    graph.add_edge(src, dst, p);
   }
   return graph;
 }
@@ -247,26 +245,16 @@ std::string xml_attribute(const std::string& tag, const std::string& attr) {
   return tag.substr(begin, end - begin);
 }
 
-/// Vertex index of a "n<k>" GraphML node id.
-VertexId graphml_vertex(const std::string& id) {
-  CSB_CHECK_MSG(!id.empty() && id.front() == 'n',
-                "unsupported GraphML node id: " << id);
-  try {
-    return std::stoull(id.substr(1));
-  } catch (const std::exception&) {
-    throw CsbError("unsupported GraphML node id: " + id);
-  }
-}
-
 }  // namespace
 
-PropertyGraph load_graphml(std::istream& in) {
+PropertyGraph load_graphml(std::istream& in, const std::string& name) {
   // Read the whole document and walk <...> elements; text between a
   // <data ...> tag and its closing tag is the attribute value.
   std::string xml((std::istreambuf_iterator<char>(in)),
                   std::istreambuf_iterator<char>());
-  CSB_CHECK_MSG(xml.find("<graphml") != std::string::npos,
-                "not a GraphML document");
+  if (xml.find("<graphml") == std::string::npos) {
+    throw CsbError(name + ": not a GraphML document");
+  }
 
   struct EdgeRow {
     VertexId src;
@@ -279,19 +267,37 @@ PropertyGraph load_graphml(std::istream& in) {
   bool saw_vertex = false;
 
   std::size_t at = 0;
+  std::uint64_t line = 1;  // line of xml[at], counted as `at` advances
+  std::size_t counted = 0;
   EdgeRow* open_edge = nullptr;
+  // Vertex index of a "n<k>" node id in attribute `attr` of `tag`.
+  const auto vertex = [&](const std::string& tag, std::string_view attr) {
+    const std::string id = xml_attribute(tag, std::string(attr));
+    const auto v = id.starts_with('n')
+                       ? parse_number<VertexId>(std::string_view(id).substr(1))
+                       : std::nullopt;
+    if (!v) field_error(name, line, attr, id, "a node id 'n<k>'");
+    return *v;
+  };
   while ((at = xml.find('<', at)) != std::string::npos) {
+    line += static_cast<std::uint64_t>(
+        std::count(xml.begin() + static_cast<std::ptrdiff_t>(counted),
+                   xml.begin() + static_cast<std::ptrdiff_t>(at), '\n'));
+    counted = at;
     const auto end = xml.find('>', at);
-    CSB_CHECK_MSG(end != std::string::npos, "unterminated GraphML tag");
+    if (end == std::string::npos) {
+      throw CsbError(name + ":" + std::to_string(line) +
+                     ": unterminated GraphML tag");
+    }
     const std::string tag = xml.substr(at + 1, end - at - 1);
 
     if (tag.rfind("node", 0) == 0) {
-      max_vertex = std::max(max_vertex, graphml_vertex(xml_attribute(tag, "id")));
+      max_vertex = std::max(max_vertex, vertex(tag, "id"));
       saw_vertex = true;
     } else if (tag.rfind("edge", 0) == 0) {
       EdgeRow row{};
-      row.src = graphml_vertex(xml_attribute(tag, "source"));
-      row.dst = graphml_vertex(xml_attribute(tag, "target"));
+      row.src = vertex(tag, "source");
+      row.dst = vertex(tag, "target");
       edges.push_back(row);
       // Self-closing edges carry no data elements.
       open_edge = tag.back() == '/' ? nullptr : &edges.back();
@@ -300,36 +306,14 @@ PropertyGraph load_graphml(std::istream& in) {
     } else if (tag.rfind("data", 0) == 0 && open_edge != nullptr) {
       const std::string key = xml_attribute(tag, "key");
       const auto value_end = xml.find('<', end + 1);
-      CSB_CHECK_MSG(value_end != std::string::npos,
-                    "unterminated GraphML data element");
-      const std::string value = xml.substr(end + 1, value_end - end - 1);
-      open_edge->has_props = true;
-      EdgeProperties& p = open_edge->props;
-      try {
-        if (key == "protocol") {
-          p.protocol = protocol_from_string(value);
-        } else if (key == "src_port") {
-          p.src_port = static_cast<std::uint16_t>(std::stoul(value));
-        } else if (key == "dst_port") {
-          p.dst_port = static_cast<std::uint16_t>(std::stoul(value));
-        } else if (key == "duration_ms") {
-          p.duration_ms = static_cast<std::uint32_t>(std::stoul(value));
-        } else if (key == "out_bytes") {
-          p.out_bytes = std::stoull(value);
-        } else if (key == "in_bytes") {
-          p.in_bytes = std::stoull(value);
-        } else if (key == "out_pkts") {
-          p.out_pkts = static_cast<std::uint32_t>(std::stoul(value));
-        } else if (key == "in_pkts") {
-          p.in_pkts = static_cast<std::uint32_t>(std::stoul(value));
-        } else if (key == "state") {
-          p.state = state_from_string(value);
-        }  // unknown keys are ignored (foreign exports)
-      } catch (const CsbError&) {
-        throw;
-      } catch (const std::exception&) {
-        throw CsbError("malformed GraphML data value for key " + key);
+      if (value_end == std::string::npos) {
+        throw CsbError(name + ":" + std::to_string(line) +
+                       ": unterminated GraphML data element");
       }
+      const std::string_view value =
+          std::string_view(xml).substr(end + 1, value_end - end - 1);
+      open_edge->has_props = true;
+      set_property(open_edge->props, key, value, name, line);
     }
     at = end + 1;
   }

@@ -10,20 +10,27 @@
 //               IDS benchmark input (the paper's motivating use case).
 #pragma once
 
+#include <cstdint>
 #include <iosfwd>
+#include <span>
 #include <string>
 
 #include "graph/property_graph.hpp"
 
 namespace csb {
 
+// Loaders name their input in every error: the binary loader as
+// "<name>@<offset>: …", the text loaders as "<name>:<line>: …". The file
+// loaders (and GraphFormat) pass the path as the name.
+
 void save_binary(const PropertyGraph& graph, std::ostream& out);
-PropertyGraph load_binary(std::istream& in);
+PropertyGraph load_binary(std::span<const std::uint8_t> bytes,
+                          const std::string& name);
 void save_binary_file(const PropertyGraph& graph, const std::string& path);
 PropertyGraph load_binary_file(const std::string& path);
 
 void save_csv(const PropertyGraph& graph, std::ostream& out);
-PropertyGraph load_csv(std::istream& in);
+PropertyGraph load_csv(std::istream& in, const std::string& name = "<stream>");
 
 void save_graphml(const PropertyGraph& graph, std::ostream& out);
 
@@ -31,6 +38,7 @@ void save_graphml(const PropertyGraph& graph, std::ostream& out);
 /// one <node> per vertex with ids "n<k>", <edge source target> with
 /// optional <data key=...> attribute elements). Not a general XML parser —
 /// element-per-concept, attribute order free, whitespace insensitive.
-PropertyGraph load_graphml(std::istream& in);
+PropertyGraph load_graphml(std::istream& in,
+                           const std::string& name = "<stream>");
 
 }  // namespace csb

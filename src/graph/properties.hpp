@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string_view>
 
 namespace csb {
@@ -55,6 +56,27 @@ enum class ConnState : std::uint8_t {
     case ConnState::kOth: return "OTH";
   }
   return "?";
+}
+
+/// Inverses of to_string(Protocol) and to_string(ConnState); nullopt for
+/// any other text.
+[[nodiscard]] constexpr std::optional<Protocol> protocol_from_string(
+    std::string_view text) noexcept {
+  for (const Protocol p : {Protocol::kIcmp, Protocol::kTcp, Protocol::kUdp}) {
+    if (to_string(p) == text) return p;
+  }
+  return std::nullopt;
+}
+
+[[nodiscard]] constexpr std::optional<ConnState> state_from_string(
+    std::string_view text) noexcept {
+  for (auto s = static_cast<int>(ConnState::kNone);
+       s <= static_cast<int>(ConnState::kOth); ++s) {
+    if (to_string(static_cast<ConnState>(s)) == text) {
+      return static_cast<ConnState>(s);
+    }
+  }
+  return std::nullopt;
 }
 
 /// One edge's NetFlow attribute tuple (row view over the SoA columns).

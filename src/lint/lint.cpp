@@ -1,7 +1,6 @@
 #include "lint/lint.hpp"
 
 #include <algorithm>
-#include <charconv>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -11,6 +10,7 @@
 
 #include "obs/json.hpp"
 #include "util/error.hpp"
+#include "util/format.hpp"
 #include "util/parallel.hpp"
 #include "util/thread_pool.hpp"
 
@@ -232,13 +232,10 @@ Baseline parse_baseline(std::string_view text) {
                                      << ": expected file:line:rule");
       const std::string_view num = line.substr(line_sep + 1,
                                                rule_sep - line_sep - 1);
-      int value = 0;
-      const auto [ptr, ec] =
-          std::from_chars(num.data(), num.data() + num.size(), value);
-      CSB_CHECK_MSG(ec == std::errc() && ptr == num.data() + num.size(),
-                    "baseline line " << line_no << ": bad line number '"
-                                     << std::string(num) << "'");
-      baseline.entries.emplace(std::string(line.substr(0, line_sep)), value,
+      const auto value = parse_number<int>(num);
+      CSB_CHECK_MSG(value, "baseline line " << line_no << ": bad line number '"
+                                            << std::string(num) << "'");
+      baseline.entries.emplace(std::string(line.substr(0, line_sep)), *value,
                                std::string(line.substr(rule_sep + 1)));
     }
     if (eol == std::string_view::npos) break;

@@ -1,11 +1,11 @@
 #include "obs/json.hpp"
 
 #include <cctype>
-#include <charconv>
 #include <cmath>
 #include <cstdio>
 
 #include "util/error.hpp"
+#include "util/format.hpp"
 
 namespace csb {
 
@@ -193,8 +193,16 @@ class Parser {
   JsonValue parse_value() {
     skip_ws();
     const char ch = peek();
-    if (ch == '{') return parse_object();
-    if (ch == '[') return parse_array();
+    if (ch == '{' || ch == '[') {
+      // Bounded recursion: hostile nesting must fail, not overflow the stack.
+      if (depth_ == kMaxDepth) {
+        fail("nesting deeper than " + std::to_string(kMaxDepth));
+      }
+      ++depth_;
+      JsonValue nested = ch == '{' ? parse_object() : parse_array();
+      --depth_;
+      return nested;
+    }
     if (ch == '"') return JsonValue(parse_string());
     if (consume_literal("true")) return JsonValue(true);
     if (consume_literal("false")) return JsonValue(false);
@@ -263,13 +271,10 @@ class Parser {
             text_[at_] == '-' || text_[at_] == '+')) {
       ++at_;
     }
-    double value = 0.0;
-    const auto [end, ec] =
-        std::from_chars(text_.data() + begin, text_.data() + at_, value);
-    if (ec != std::errc{} || end != text_.data() + at_ || begin == at_) {
-      fail("bad number");
-    }
-    return JsonValue(value);
+    const auto value =
+        csb::parse_number<double>(text_.substr(begin, at_ - begin));
+    if (!value) fail("bad number");
+    return JsonValue(*value);
   }
 
   JsonValue parse_array() {
@@ -312,8 +317,11 @@ class Parser {
     }
   }
 
+  static constexpr std::size_t kMaxDepth = 256;
+
   std::string_view text_;
   std::size_t at_ = 0;
+  std::size_t depth_ = 0;
 };
 
 }  // namespace

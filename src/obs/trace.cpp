@@ -320,6 +320,15 @@ double number_or(const JsonValue& object, std::string_view key,
                                                 : fallback;
 }
 
+/// number_or for a count or id: `fallback` also when the number lies
+/// outside [0, 2^64), where a cast to u64 would be undefined.
+std::uint64_t u64_or(const JsonValue& object, std::string_view key,
+                     std::uint64_t fallback) {
+  const double value = number_or(object, key, -1.0);
+  return value >= 0.0 && value < 0x1p64 ? static_cast<std::uint64_t>(value)
+                                        : fallback;
+}
+
 }  // namespace
 
 ParsedTrace parse_trace_ndjson(std::istream& in,
@@ -385,8 +394,8 @@ ParsedTrace parse_trace_ndjson(std::istream& in,
         sink.report(line_no, "unknown span kind \"" + span.kind + "\"");
         continue;
       }
-      span.id = static_cast<std::uint64_t>(number_or(record, "id", 0));
-      span.parent = static_cast<std::uint64_t>(number_or(record, "parent", 0));
+      span.id = u64_or(record, "id", 0);
+      span.parent = u64_or(record, "parent", 0);
       span.t0 = number_or(record, "t0", -1.0);
       span.t1 = number_or(record, "t1", -1.0);
       span.seconds = number_or(record, "seconds", -1.0);
@@ -403,7 +412,7 @@ ParsedTrace parse_trace_ndjson(std::istream& in,
                     "span end timestamps are not monotone non-decreasing");
       }
       last_span_t1 = std::max(last_span_t1, span.t1);
-      span.tasks = static_cast<std::uint64_t>(number_or(record, "tasks", 0));
+      span.tasks = u64_or(record, "tasks", 0);
       span.task_seconds = number_or(record, "task_seconds", 0.0);
       if (const JsonValue* busy = record.find("node_busy");
           busy != nullptr && busy->is_array()) {
@@ -436,10 +445,8 @@ ParsedTrace parse_trace_ndjson(std::istream& in,
       }
       mem.label = label->as_string();
       mem.t = number_or(record, "t", 0.0);
-      mem.rss_bytes =
-          static_cast<std::uint64_t>(number_or(record, "rss_bytes", 0));
-      mem.hwm_bytes =
-          static_cast<std::uint64_t>(number_or(record, "hwm_bytes", 0));
+      mem.rss_bytes = u64_or(record, "rss_bytes", 0);
+      mem.hwm_bytes = u64_or(record, "hwm_bytes", 0);
       trace.mems.push_back(std::move(mem));
     } else if (kind == "bench") {
       BenchRecord bench;

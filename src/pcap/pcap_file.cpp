@@ -1,11 +1,10 @@
 #include "pcap/pcap_file.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <fstream>
-#include <istream>
 #include <ostream>
 
+#include "util/byte_reader.hpp"
 #include "util/error.hpp"
 #include "util/parallel.hpp"
 
@@ -29,23 +28,6 @@ std::uint16_t byteswap16(std::uint16_t v) noexcept {
   return static_cast<std::uint16_t>((v << 8) | (v >> 8));
 }
 
-template <typename T>
-void put(std::ostream& out, T value) {
-  out.write(reinterpret_cast<const char*>(&value), sizeof value);
-}
-
-std::uint32_t load32(const std::uint8_t* p, bool swapped) noexcept {
-  std::uint32_t v;
-  std::memcpy(&v, p, sizeof v);
-  return swapped ? byteswap32(v) : v;
-}
-
-std::uint16_t load16(const std::uint8_t* p, bool swapped) noexcept {
-  std::uint16_t v;
-  std::memcpy(&v, p, sizeof v);
-  return swapped ? byteswap16(v) : v;
-}
-
 /// Records per fixed chunk when filling packet vectors from an index.
 constexpr std::size_t kReadChunk = 2048;
 
@@ -54,90 +36,26 @@ constexpr std::size_t kReadChunk = 2048;
 PcapWriter::PcapWriter(std::ostream& out, std::uint32_t snaplen)
     : out_(out), snaplen_(snaplen) {
   CSB_CHECK_MSG(snaplen_ > 0, "pcap snaplen must be positive");
-  put(out_, kMagicUsec);
-  put(out_, kVersionMajor);
-  put(out_, kVersionMinor);
-  put(out_, std::int32_t{0});   // thiszone (GMT offset)
-  put(out_, std::uint32_t{0});  // sigfigs
-  put(out_, snaplen_);
-  put(out_, kLinktypeEthernet);
+  write_pod(out_, kMagicUsec);
+  write_pod(out_, kVersionMajor);
+  write_pod(out_, kVersionMinor);
+  write_pod(out_, std::int32_t{0});   // thiszone (GMT offset)
+  write_pod(out_, std::uint32_t{0});  // sigfigs
+  write_pod(out_, snaplen_);
+  write_pod(out_, kLinktypeEthernet);
   CSB_CHECK_MSG(out_.good(), "failed writing pcap global header");
-}
-
-void PcapWriter::write(std::uint64_t timestamp_us,
-                       const std::vector<std::uint8_t>& data) {
-  PcapPacket packet;
-  packet.timestamp_us = timestamp_us;
-  packet.orig_len = static_cast<std::uint32_t>(data.size());
-  packet.data = data;
-  write(packet);
 }
 
 void PcapWriter::write(const PcapPacket& packet) {
   const std::uint32_t incl_len = static_cast<std::uint32_t>(
       std::min<std::size_t>(packet.data.size(), snaplen_));
-  put(out_, static_cast<std::uint32_t>(packet.timestamp_us / 1000000));
-  put(out_, static_cast<std::uint32_t>(packet.timestamp_us % 1000000));
-  put(out_, incl_len);
-  put(out_, packet.orig_len);
+  write_pod(out_, static_cast<std::uint32_t>(packet.timestamp_us / 1000000));
+  write_pod(out_, static_cast<std::uint32_t>(packet.timestamp_us % 1000000));
+  write_pod(out_, incl_len);
+  write_pod(out_, packet.orig_len);
   out_.write(reinterpret_cast<const char*>(packet.data.data()), incl_len);
   CSB_CHECK_MSG(out_.good(), "failed writing pcap record");
   ++packets_;
-}
-
-PcapReader::PcapReader(std::istream& in) : in_(in) {
-  std::uint8_t header[24];
-  in_.read(reinterpret_cast<char*>(header), sizeof header);
-  CSB_CHECK_MSG(in_.good(), "truncated pcap global header");
-  std::uint32_t magic;
-  std::memcpy(&magic, header, sizeof magic);
-  switch (magic) {
-    case kMagicUsec: break;
-    case kMagicNsec: nanoseconds_ = true; break;
-    case kMagicUsecSwapped: swapped_ = true; break;
-    case kMagicNsecSwapped:
-      swapped_ = true;
-      nanoseconds_ = true;
-      break;
-    default:
-      throw CsbError("not a pcap file (bad magic)");
-  }
-  snaplen_ = decode32(header + 16);
-  linktype_ = decode32(header + 20);
-  const std::uint16_t major = decode16(header + 4);
-  CSB_CHECK_MSG(major == kVersionMajor, "unsupported pcap version");
-}
-
-bool PcapReader::next(PcapPacket& packet) {
-  std::uint8_t header[16];
-  in_.read(reinterpret_cast<char*>(header), sizeof header);
-  if (in_.gcount() == 0 && in_.eof()) return false;
-  CSB_CHECK_MSG(in_.gcount() == sizeof header, "truncated pcap record header");
-  const std::uint32_t ts_sec = decode32(header);
-  const std::uint32_t ts_frac = decode32(header + 4);
-  const std::uint32_t incl_len = decode32(header + 8);
-  packet.orig_len = decode32(header + 12);
-  CSB_CHECK_MSG(incl_len <= snaplen_ + 65536u, "implausible pcap record size");
-  packet.timestamp_us =
-      static_cast<std::uint64_t>(ts_sec) * 1000000 +
-      (nanoseconds_ ? ts_frac / 1000 : ts_frac);
-  packet.data.resize(incl_len);
-  in_.read(reinterpret_cast<char*>(packet.data.data()), incl_len);
-  CSB_CHECK_MSG(in_.gcount() == static_cast<std::streamsize>(incl_len),
-                "truncated pcap record payload");
-  return true;
-}
-
-std::uint32_t PcapReader::decode32(const std::uint8_t* p) const noexcept {
-  std::uint32_t v;
-  std::memcpy(&v, p, sizeof v);
-  return swapped_ ? byteswap32(v) : v;
-}
-
-std::uint16_t PcapReader::decode16(const std::uint8_t* p) const noexcept {
-  std::uint16_t v;
-  std::memcpy(&v, p, sizeof v);
-  return swapped_ ? byteswap16(v) : v;
 }
 
 void write_pcap_file(const std::string& path,
@@ -157,25 +75,13 @@ PcapPacket IndexedPcap::packet(std::size_t i) const {
   return out;
 }
 
-IndexedPcap index_pcap_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  CSB_CHECK_MSG(in.is_open(), "cannot open for reading: " << path);
-  in.seekg(0, std::ios::end);
-  const auto file_size = static_cast<std::uint64_t>(in.tellg());
-  in.seekg(0, std::ios::beg);
-  CSB_CHECK_MSG(file_size >= 24, "truncated pcap global header");
-
+IndexedPcap index_pcap(std::vector<std::uint8_t> data, std::string name) {
   IndexedPcap capture;
-  capture.data.resize(file_size);
-  in.read(reinterpret_cast<char*>(capture.data.data()),
-          static_cast<std::streamsize>(file_size));
-  CSB_CHECK_MSG(in.good(), "failed reading pcap file: " << path);
-
+  capture.data = std::move(data);
+  ByteReader in(capture.data, std::move(name));
   bool swapped = false;
   bool nanoseconds = false;
-  std::uint32_t magic;
-  std::memcpy(&magic, capture.data.data(), sizeof magic);
-  switch (magic) {
+  switch (in.read<std::uint32_t>()) {
     case kMagicUsec: break;
     case kMagicNsec: nanoseconds = true; break;
     case kMagicUsecSwapped: swapped = true; break;
@@ -184,36 +90,48 @@ IndexedPcap index_pcap_file(const std::string& path) {
       nanoseconds = true;
       break;
     default:
-      throw CsbError("not a pcap file (bad magic)");
+      in.fail_at(0, "not a pcap file (bad magic)");
   }
-  const std::uint16_t major = load16(capture.data.data() + 4, swapped);
-  CSB_CHECK_MSG(major == kVersionMajor, "unsupported pcap version");
-  capture.snaplen = load32(capture.data.data() + 16, swapped);
-  capture.linktype = load32(capture.data.data() + 20, swapped);
+  const auto u32 = [&] {
+    const auto v = in.read<std::uint32_t>();
+    return swapped ? byteswap32(v) : v;
+  };
+  const auto major = in.read<std::uint16_t>();
+  if ((swapped ? byteswap16(major) : major) != kVersionMajor) {
+    in.fail_at(4, "unsupported pcap version");
+  }
+  in.skip(2 + 4 + 4);  // minor version, thiszone, sigfigs
+  capture.snaplen = u32();
+  capture.linktype = u32();
 
   // One sequential walk over the record headers; payload bytes stay where
   // they are, only (timestamp, lengths, offset) go into the index.
-  std::uint64_t at = 24;
-  while (at < file_size) {
-    CSB_CHECK_MSG(file_size - at >= 16, "truncated pcap record header");
-    const std::uint8_t* header = capture.data.data() + at;
-    const std::uint32_t ts_sec = load32(header, swapped);
-    const std::uint32_t ts_frac = load32(header + 4, swapped);
-    const std::uint32_t incl_len = load32(header + 8, swapped);
-    CSB_CHECK_MSG(incl_len <= capture.snaplen + 65536u,
-                  "implausible pcap record size");
-    CSB_CHECK_MSG(file_size - at - 16 >= incl_len,
-                  "truncated pcap record payload");
-    PcapRecordRef ref;
-    ref.timestamp_us = static_cast<std::uint64_t>(ts_sec) * 1000000 +
-                       (nanoseconds ? ts_frac / 1000 : ts_frac);
-    ref.orig_len = load32(header + 12, swapped);
-    ref.captured_len = incl_len;
-    ref.offset = at + 16;
-    capture.records.push_back(ref);
-    at += 16 + static_cast<std::uint64_t>(incl_len);
+  const std::uint64_t max_record = std::uint64_t{capture.snaplen} + 65536;
+  while (in.remaining() > 0) {
+    const std::uint64_t at = in.offset();
+    const std::uint32_t ts_sec = u32();
+    const std::uint32_t ts_frac = u32();
+    const std::uint32_t incl_len = u32();
+    const std::uint32_t orig_len = u32();
+    if (incl_len > max_record || incl_len > in.remaining()) {
+      in.fail_at(at, "pcap record of " + std::to_string(incl_len) +
+                         " captured bytes, " +
+                         std::to_string(in.remaining()) + " left (truncated)");
+    }
+    capture.records.push_back(PcapRecordRef{
+        .timestamp_us = static_cast<std::uint64_t>(ts_sec) * 1000000 +
+                        (nanoseconds ? ts_frac / 1000 : ts_frac),
+        .orig_len = orig_len,
+        .captured_len = incl_len,
+        .offset = in.offset(),
+    });
+    in.skip(incl_len);
   }
   return capture;
+}
+
+IndexedPcap index_pcap_file(const std::string& path) {
+  return index_pcap(read_file(path), path);
 }
 
 std::vector<PcapPacket> read_pcap_file(const std::string& path,
@@ -224,11 +142,7 @@ std::vector<PcapPacket> read_pcap_file(const std::string& path,
       pool, 0, capture.records.size(), kReadChunk,
       [&](const ChunkRange& chunk) {
         for (std::size_t i = chunk.begin; i < chunk.end; ++i) {
-          const PcapRecordRef& ref = capture.records[i];
-          packets[i].timestamp_us = ref.timestamp_us;
-          packets[i].orig_len = ref.orig_len;
-          packets[i].data.assign(capture.bytes(ref),
-                                 capture.bytes(ref) + ref.captured_len);
+          packets[i] = capture.packet(i);
         }
       });
   return packets;

@@ -1,4 +1,4 @@
-// Reader/writer for the classic libpcap capture file format.
+// Indexed reader and writer for the classic libpcap capture file format.
 //
 // The paper's pipeline starts "with some source data in PCAP format"
 // (Fig. 1); we implement the format from the published layout: a 24-byte
@@ -36,9 +36,7 @@ class PcapWriter {
   /// Writes the global header immediately.
   PcapWriter(std::ostream& out, std::uint32_t snaplen = 65535);
 
-  /// Appends one record; `data` is truncated to the snap length.
-  void write(std::uint64_t timestamp_us,
-             const std::vector<std::uint8_t>& data);
+  /// Appends one record; the data is truncated to the snap length.
   void write(const PcapPacket& packet);
 
   [[nodiscard]] std::uint64_t packets_written() const noexcept {
@@ -49,28 +47,6 @@ class PcapWriter {
   std::ostream& out_;
   std::uint32_t snaplen_;
   std::uint64_t packets_ = 0;
-};
-
-class PcapReader {
- public:
-  /// Parses the global header; throws CsbError on a bad magic.
-  explicit PcapReader(std::istream& in);
-
-  /// Reads the next record into `packet`; returns false at end of stream.
-  bool next(PcapPacket& packet);
-
-  [[nodiscard]] std::uint32_t linktype() const noexcept { return linktype_; }
-  [[nodiscard]] std::uint32_t snaplen() const noexcept { return snaplen_; }
-
- private:
-  std::uint32_t decode32(const std::uint8_t* p) const noexcept;
-  std::uint16_t decode16(const std::uint8_t* p) const noexcept;
-
-  std::istream& in_;
-  bool swapped_ = false;      ///< file byte order differs from host
-  bool nanoseconds_ = false;  ///< 0xa1b23c4d magic
-  std::uint32_t snaplen_ = 0;
-  std::uint32_t linktype_ = 0;
 };
 
 /// One record of an indexed capture: the per-record header fields plus the
@@ -101,8 +77,13 @@ struct IndexedPcap {
   [[nodiscard]] PcapPacket packet(std::size_t i) const;
 };
 
-/// Reads the whole file and builds the record index without materializing
-/// any per-packet buffers. Throws CsbError on a bad magic or truncation.
+/// Builds the record index over a whole capture held in `data` without
+/// materializing any per-packet buffers. Throws CsbError
+/// "<name>@<offset>: …" on a bad magic or a truncated record (the offset is
+/// the record's).
+IndexedPcap index_pcap(std::vector<std::uint8_t> data, std::string name);
+
+/// index_pcap over the whole file, named by its path.
 IndexedPcap index_pcap_file(const std::string& path);
 
 /// Convenience round-trips. read_pcap_file indexes the file, then fills the

@@ -2,12 +2,13 @@
 // distribution as (value, probability) pair lists — exact round trip, no
 // refitting on load.
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <fstream>
-#include <istream>
 #include <ostream>
 
 #include "seed/seed.hpp"
+#include "util/byte_reader.hpp"
 #include "util/error.hpp"
 
 namespace csb {
@@ -17,19 +18,6 @@ namespace {
 constexpr char kMagic[4] = {'C', 'S', 'B', 'P'};
 constexpr std::uint32_t kVersion = 1;
 
-template <typename T>
-void write_pod(std::ostream& out, const T& value) {
-  out.write(reinterpret_cast<const char*>(&value), sizeof value);
-}
-
-template <typename T>
-T read_pod(std::istream& in) {
-  T value{};
-  in.read(reinterpret_cast<char*>(&value), sizeof value);
-  CSB_CHECK_MSG(in.good(), "truncated seed profile stream");
-  return value;
-}
-
 void write_empirical(std::ostream& out, const EmpiricalDistribution& dist) {
   write_pod(out, static_cast<std::uint64_t>(dist.support_size()));
   for (std::size_t i = 0; i < dist.support_size(); ++i) {
@@ -38,18 +26,19 @@ void write_empirical(std::ostream& out, const EmpiricalDistribution& dist) {
   }
 }
 
-EmpiricalDistribution read_empirical(std::istream& in) {
-  const auto n = read_pod<std::uint64_t>(in);
-  CSB_CHECK_MSG(n > 0 && n <= (1ULL << 32),
-                "implausible distribution size in seed profile stream");
+EmpiricalDistribution read_empirical(ByteReader& in) {
+  const auto n = in.read<std::uint64_t>();
+  if (n == 0) in.fail("empty distribution");
+  // (value, probability) pairs; read_column checks n against the bytes left.
+  const auto rows = in.read_column<std::array<double, 2>>(n);
   std::vector<std::pair<double, double>> weighted;
   weighted.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) {
-    const double value = read_pod<double>(in);
-    const double prob = read_pod<double>(in);
-    weighted.emplace_back(value, prob);
+  for (const auto& [value, prob] : rows) weighted.emplace_back(value, prob);
+  try {
+    return EmpiricalDistribution::from_weighted(std::move(weighted));
+  } catch (const CsbError& error) {
+    in.fail(error.what());  // a negative, NaN or all-zero probability
   }
-  return EmpiricalDistribution::from_weighted(std::move(weighted));
 }
 
 void write_conditional(std::ostream& out,
@@ -63,13 +52,17 @@ void write_conditional(std::ostream& out,
   write_empirical(out, dist.marginal());
 }
 
-ConditionalDistribution read_conditional(std::istream& in) {
-  const auto buckets = read_pod<std::uint64_t>(in);
-  CSB_CHECK_MSG(buckets <= 64, "implausible bucket count in profile stream");
+ConditionalDistribution read_conditional(ByteReader& in) {
+  const auto buckets = in.read<std::uint64_t>();
+  // Each bucket holds at least a key, a size and one (value, prob) pair.
+  constexpr std::uint64_t kMinBucketBytes = 4 + 8 + 16;
+  if (buckets > 64 || buckets > in.remaining() / kMinBucketBytes) {
+    in.fail("implausible bucket count " + std::to_string(buckets));
+  }
   std::vector<std::pair<std::uint32_t, EmpiricalDistribution>> parts;
   parts.reserve(buckets);
   for (std::uint64_t i = 0; i < buckets; ++i) {
-    const auto key = read_pod<std::uint32_t>(in);
+    const auto key = in.read<std::uint32_t>();
     parts.emplace_back(key, read_empirical(in));
   }
   return ConditionalDistribution::from_parts(std::move(parts),
@@ -120,16 +113,20 @@ void SeedProfile::save(std::ostream& out) const {
   CSB_CHECK_MSG(out.good(), "failed writing seed profile stream");
 }
 
-SeedProfile SeedProfile::load(std::istream& in) {
-  char magic[4];
-  in.read(magic, sizeof magic);
-  CSB_CHECK_MSG(in.good() && std::equal(magic, magic + 4, kMagic),
-                "not a csb seed profile (bad magic)");
-  const auto version = read_pod<std::uint32_t>(in);
-  CSB_CHECK_MSG(version == kVersion, "unsupported seed profile version");
+SeedProfile SeedProfile::load(std::span<const std::uint8_t> bytes,
+                              const std::string& name) {
+  ByteReader in(bytes, name);
+  if (in.remaining() < sizeof kMagic ||
+      !std::equal(kMagic, kMagic + sizeof kMagic, bytes.begin())) {
+    in.fail("not a csb seed profile (bad magic)");
+  }
+  in.skip(sizeof kMagic);
+  if (in.read<std::uint32_t>() != kVersion) {
+    in.fail("unsupported seed profile version");
+  }
   SeedProfile profile;
-  profile.seed_vertices_ = read_pod<std::uint64_t>(in);
-  profile.seed_edges_ = read_pod<std::uint64_t>(in);
+  profile.seed_vertices_ = in.read<std::uint64_t>();
+  profile.seed_edges_ = in.read<std::uint64_t>();
   profile.in_degree_ = read_empirical(in);
   profile.out_degree_ = read_empirical(in);
   profile.in_bytes_ = read_empirical(in);
@@ -151,9 +148,7 @@ void SeedProfile::save_file(const std::string& path) const {
 }
 
 SeedProfile SeedProfile::load_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  CSB_CHECK_MSG(in.is_open(), "cannot open for reading: " << path);
-  return load(in);
+  return load(read_file(path), path);
 }
 
 bool operator==(const SeedProfile& a, const SeedProfile& b) {

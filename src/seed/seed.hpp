@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -122,7 +123,9 @@ class SeedProfile {
   /// Binary (de)serialization, so the Fig. 1 analysis runs once and later
   /// generator invocations reload the fitted distributions directly.
   void save(std::ostream& out) const;
-  static SeedProfile load(std::istream& in);
+  /// Errors read "<name>@<offset>: …"; load_file passes the path as name.
+  static SeedProfile load(std::span<const std::uint8_t> bytes,
+                          const std::string& name);
   void save_file(const std::string& path) const;
   static SeedProfile load_file(const std::string& path);
 

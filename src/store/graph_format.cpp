@@ -42,7 +42,7 @@ class CsvFormat final : public GraphFormat {
   [[nodiscard]] PropertyGraph load(const std::string& path) const override {
     std::ifstream in(path);
     CSB_CHECK_MSG(in.is_open(), "cannot open input file: " << path);
-    return load_csv(in);
+    return load_csv(in, path);
   }
 };
 
@@ -61,7 +61,7 @@ class GraphmlFormat final : public GraphFormat {
   [[nodiscard]] PropertyGraph load(const std::string& path) const override {
     std::ifstream in(path);
     CSB_CHECK_MSG(in.is_open(), "cannot open input file: " << path);
-    return load_graphml(in);
+    return load_graphml(in, path);
   }
 };
 

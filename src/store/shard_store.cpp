@@ -8,7 +8,6 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
-#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -19,6 +18,7 @@
 #include "obs/json.hpp"
 #include "obs/trace.hpp"
 #include "util/error.hpp"
+#include "util/format.hpp"
 #include "util/parallel.hpp"
 #include "util/thread_pool.hpp"
 
@@ -67,13 +67,10 @@ std::string hex_u64(std::uint64_t value) {
 std::uint64_t parse_hex_u64(const std::string& path, const JsonValue& value) {
   CSB_CHECK_MSG(value.is_string(),
                 path << ": manifest checksum/seed must be a hex string");
-  const std::string& text = value.as_string();
-  std::uint64_t out = 0;
-  const auto [ptr, ec] =
-      std::from_chars(text.data(), text.data() + text.size(), out, 16);
-  CSB_CHECK_MSG(ec == std::errc{} && ptr == text.data() + text.size(),
-                path << ": malformed hex value '" << text << "'");
-  return out;
+  const auto out = parse_number<std::uint64_t>(value.as_string(), 16);
+  CSB_CHECK_MSG(out, path << ": malformed hex value '" << value.as_string()
+                          << "'");
+  return *out;
 }
 
 std::string shard_file_name(const char* prefix, std::uint32_t shard) {

@@ -4,6 +4,8 @@
 #include <cmath>
 #include <cstdio>
 
+#include "util/error.hpp"
+
 namespace csb {
 
 std::string with_commas(std::uint64_t value) {
@@ -57,6 +59,25 @@ std::string sci(double value, int digits) {
   char buf[48];
   std::snprintf(buf, sizeof buf, "%.*e", digits - 1, value);
   return buf;
+}
+
+void split_fields(std::string_view line, char sep,
+                  std::vector<std::string_view>& fields) {
+  fields.clear();
+  for (std::size_t begin = 0;;) {
+    const std::size_t end = line.find(sep, begin);
+    fields.push_back(line.substr(begin, end - begin));
+    if (end == std::string_view::npos) return;
+    begin = end + 1;
+  }
+}
+
+void field_error(std::string_view source, std::uint64_t line,
+                 std::string_view field, std::string_view text,
+                 std::string_view expected) {
+  throw CsbError(std::string(source) + ":" + std::to_string(line) +
+                 ": field '" + std::string(field) + "': '" +
+                 std::string(text) + "' is not " + std::string(expected));
 }
 
 }  // namespace csb

@@ -364,5 +364,23 @@ TEST(NetflowIoTest, RejectsBadHeaderAndRow) {
   EXPECT_THROW(load_netflow_csv(bad_row), CsbError);
 }
 
+TEST(NetflowIoTest, RejectsBadPortNamingLineAndField) {
+  std::stringstream header;
+  save_netflow_csv({}, header);
+  for (const std::string port : {"70000", "-1", "abc"}) {
+    std::stringstream csv(header.str() + "10.0.0.1,10.0.0.2,TCP," + port +
+                          ",80,0,1000,10,20,1,1,1,1,SF\n");
+    try {
+      (void)load_netflow_csv(csv, "flows.csv");
+      FAIL() << "src_port " << port << " accepted";
+    } catch (const CsbError& error) {
+      EXPECT_EQ(std::string(error.what())
+                    .rfind("flows.csv:2: field 'src_port': '" + port + "'", 0),
+                0u)
+          << error.what();
+    }
+  }
+}
+
 }  // namespace
 }  // namespace csb

@@ -9,6 +9,7 @@
 #include "graph/graph_io.hpp"
 #include "graph/pagerank.hpp"
 #include "graph/property_graph.hpp"
+#include "util/byte_reader.hpp"
 #include "util/error.hpp"
 #include "util/random.hpp"
 #include "util/thread_pool.hpp"
@@ -464,7 +465,7 @@ TEST_P(BinaryIoTest, RoundTrips) {
   }
   std::stringstream buffer;
   save_binary(g, buffer);
-  const PropertyGraph loaded = load_binary(buffer);
+  const PropertyGraph loaded = load_binary(byte_span(buffer.str()), "buffer");
   EXPECT_EQ(loaded, g);
 }
 
@@ -473,7 +474,7 @@ INSTANTIATE_TEST_SUITE_P(Props, BinaryIoTest, ::testing::Bool());
 TEST(BinaryIoTest, RejectsBadMagic) {
   std::stringstream buffer;
   buffer << "NOTAGRAPH-------------------------";
-  EXPECT_THROW(load_binary(buffer), CsbError);
+  EXPECT_THROW(load_binary(byte_span(buffer.str()), "buffer"), CsbError);
 }
 
 TEST(BinaryIoTest, RejectsTruncatedStream) {
@@ -483,7 +484,46 @@ TEST(BinaryIoTest, RejectsTruncatedStream) {
   save_binary(g, buffer);
   const std::string full = buffer.str();
   std::stringstream truncated(full.substr(0, full.size() / 2));
-  EXPECT_THROW(load_binary(truncated), CsbError);
+  EXPECT_THROW(load_binary(byte_span(truncated.str()), "truncated"), CsbError);
+}
+
+TEST(BinaryIoTest, RejectsEdgeCountBeyondInput) {
+  // 29 bytes: the 25-byte header claiming 2^39 edges plus 4 column bytes.
+  // The count is checked against the bytes left before any column is sized
+  // from it (no 4 TiB request); the error points at the columns' start.
+  std::string file = "CSBG";
+  const auto append = [&file](auto value) {
+    file.append(reinterpret_cast<const char*>(&value), sizeof value);
+  };
+  append(std::uint32_t{1});        // version
+  append(std::uint64_t{10});       // vertices
+  append(std::uint64_t{1} << 39);  // edges
+  append(std::uint8_t{1});         // has_props
+  ASSERT_EQ(file.size(), 25u);
+  append(std::uint32_t{0});
+  try {
+    (void)load_binary(byte_span(file), "huge.bin");
+    FAIL() << "2^39 edges accepted from 29 bytes";
+  } catch (const CsbError& error) {
+    EXPECT_EQ(std::string(error.what()).rfind("huge.bin@25: edge count ", 0),
+              0u)
+        << error.what();
+  }
+}
+
+TEST(CsvIoTest, RejectsOutOfRangeFieldNamingLine) {
+  std::stringstream buffer(
+      "src,dst,protocol,src_port,dst_port,duration_ms,out_bytes,in_bytes,"
+      "out_pkts,in_pkts,state\n0,1,TCP,80,443,5,1,1,1,1,SF\n\n"
+      "1,0,TCP,80,70000,5,1,1,1,1,SF\n");
+  try {
+    (void)load_csv(buffer, "g.csv");
+    FAIL() << "dst_port 70000 accepted";
+  } catch (const CsbError& error) {
+    EXPECT_EQ(std::string(error.what()).rfind("g.csv:4: field 'dst_port'", 0),
+              0u)
+        << error.what();
+  }
 }
 
 TEST(CsvIoTest, RoundTripsWithProperties) {
@@ -583,6 +623,21 @@ TEST(GraphmlTest, RejectsGarbage) {
   std::stringstream bad_id(
       "<graphml><graph><node id=\"xyz\"/></graph></graphml>");
   EXPECT_THROW(load_graphml(bad_id), CsbError);
+}
+
+TEST(GraphmlTest, RejectsOutOfRangeValueNamingLine) {
+  std::stringstream xml(
+      "<graphml>\n<graph>\n<edge source=\"n0\" target=\"n1\">\n"
+      "<data key=\"src_port\">70000</data>\n</edge>\n</graph>\n</graphml>\n");
+  try {
+    (void)load_graphml(xml, "g.graphml");
+    FAIL() << "src_port 70000 accepted";
+  } catch (const CsbError& error) {
+    EXPECT_EQ(
+        std::string(error.what()).rfind("g.graphml:4: field 'src_port'", 0),
+        0u)
+        << error.what();
+  }
 }
 
 // ---------------------------------------------------------------- SCC

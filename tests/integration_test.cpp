@@ -16,6 +16,7 @@
 #include "seed/seed.hpp"
 #include "trace/attacks.hpp"
 #include "trace/traffic_model.hpp"
+#include "util/byte_reader.hpp"
 #include "veracity/veracity.hpp"
 
 namespace csb {
@@ -37,10 +38,13 @@ TEST(EndToEndTest, PcapToSeedToPgpbaToVeracity) {
   }
 
   // 2. PCAP -> seed bundle (Fig. 1).
-  PcapReader reader(pcap_stream);
+  const std::string pcap_bytes = pcap_stream.str();
+  const IndexedPcap capture =
+      index_pcap({pcap_bytes.begin(), pcap_bytes.end()}, "model.pcap");
   std::vector<PcapPacket> packets;
-  PcapPacket packet;
-  while (reader.next(packet)) packets.push_back(packet);
+  for (std::size_t i = 0; i < capture.records.size(); ++i) {
+    packets.push_back(capture.packet(i));
+  }
   const SeedBundle seed = build_seed_from_packets(packets);
   ASSERT_GT(seed.graph.num_edges(), 500u);
 
@@ -90,7 +94,7 @@ TEST(EndToEndTest, PgskPipelineWithPersistence) {
   // benchmark would hand it to the system under test).
   std::stringstream buffer;
   save_binary(result.graph, buffer);
-  const PropertyGraph loaded = load_binary(buffer);
+  const PropertyGraph loaded = load_binary(byte_span(buffer.str()), "buffer");
   EXPECT_EQ(loaded, result.graph);
 }
 

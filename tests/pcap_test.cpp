@@ -1,8 +1,9 @@
 // Unit tests for src/pcap: checksums, frame encode/decode round trips, and
-// the capture-file reader/writer (including foreign byte order).
+// the indexed capture reader and the writer (including foreign byte order).
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <filesystem>
 #include <sstream>
 
 #include "pcap/packet.hpp"
@@ -136,6 +137,11 @@ TEST(DecodeTest, SnapTruncationUsesOrigLen) {
 
 // ----------------------------------------------------------- file format
 
+/// Indexes an in-memory capture, e.g. what a PcapWriter left in a buffer.
+IndexedPcap index_buffer(const std::string& bytes) {
+  return index_pcap({bytes.begin(), bytes.end()}, "buffer.pcap");
+}
+
 TEST(PcapFileTest, WriteReadRoundTrip) {
   std::vector<PcapPacket> packets;
   for (int i = 0; i < 5; ++i) {
@@ -151,16 +157,12 @@ TEST(PcapFileTest, WriteReadRoundTrip) {
     for (const auto& packet : packets) writer.write(packet);
     EXPECT_EQ(writer.packets_written(), 5u);
   }
-  PcapReader reader(buffer);
-  EXPECT_EQ(reader.linktype(), kLinktypeEthernet);
-  PcapPacket read_back;
-  for (int i = 0; i < 5; ++i) {
-    ASSERT_TRUE(reader.next(read_back));
-    EXPECT_EQ(read_back.timestamp_us, packets[i].timestamp_us);
-    EXPECT_EQ(read_back.data, packets[i].data);
-    EXPECT_EQ(read_back.orig_len, packets[i].orig_len);
+  const IndexedPcap capture = index_buffer(buffer.str());
+  EXPECT_EQ(capture.linktype, kLinktypeEthernet);
+  ASSERT_EQ(capture.records.size(), packets.size());
+  for (std::size_t i = 0; i < packets.size(); ++i) {
+    EXPECT_EQ(capture.packet(i), packets[i]) << "record " << i;
   }
-  EXPECT_FALSE(reader.next(read_back));
 }
 
 TEST(PcapFileTest, SnaplenTruncatesOnWrite) {
@@ -170,11 +172,11 @@ TEST(PcapFileTest, SnaplenTruncatesOnWrite) {
   packet.data = build_tcp_frame(spec_with_payload(1000), kTcpAck);
   packet.orig_len = static_cast<std::uint32_t>(packet.data.size());
   writer.write(packet);
-  PcapReader reader(buffer);
-  PcapPacket read_back;
-  ASSERT_TRUE(reader.next(read_back));
-  EXPECT_EQ(read_back.data.size(), 64u);
-  EXPECT_EQ(read_back.orig_len, packet.orig_len);
+  const IndexedPcap capture = index_buffer(buffer.str());
+  ASSERT_EQ(capture.records.size(), 1u);
+  EXPECT_EQ(capture.snaplen, 64u);
+  EXPECT_EQ(capture.packet(0).data.size(), 64u);
+  EXPECT_EQ(capture.packet(0).orig_len, packet.orig_len);
 }
 
 TEST(PcapFileTest, ReadsSwappedByteOrder) {
@@ -196,14 +198,13 @@ TEST(PcapFileTest, ReadsSwappedByteOrder) {
   file += be32(0) + be32(0) + be32(65535) + be32(1);
   file += be32(10) + be32(500000) + be32(4) + be32(4);  // record header
   file += std::string("\x01\x02\x03\x04", 4);
-  std::stringstream buffer(file);
-  PcapReader reader(buffer);
-  EXPECT_EQ(reader.snaplen(), 65535u);
-  EXPECT_EQ(reader.linktype(), 1u);
-  PcapPacket packet;
-  ASSERT_TRUE(reader.next(packet));
+  const IndexedPcap capture = index_buffer(file);
+  EXPECT_EQ(capture.snaplen, 65535u);
+  EXPECT_EQ(capture.linktype, 1u);
+  ASSERT_EQ(capture.records.size(), 1u);
+  const PcapPacket packet = capture.packet(0);
   EXPECT_EQ(packet.timestamp_us, 10'500'000u);
-  EXPECT_EQ(packet.data.size(), 4u);
+  EXPECT_EQ(packet.data, (std::vector<std::uint8_t>{1, 2, 3, 4}));
   EXPECT_EQ(packet.orig_len, 4u);
 }
 
@@ -229,32 +230,44 @@ TEST(PcapFileTest, NanosecondMagicConverted) {
   buffer.write(reinterpret_cast<const char*>(&ts_nsec), 4);
   buffer.write(reinterpret_cast<const char*>(&len), 4);
   buffer.write(reinterpret_cast<const char*>(&len), 4);
-  PcapReader reader(buffer);
-  PcapPacket packet;
-  ASSERT_TRUE(reader.next(packet));
-  EXPECT_EQ(packet.timestamp_us, 1'750'000u);
+  const IndexedPcap capture = index_buffer(buffer.str());
+  ASSERT_EQ(capture.records.size(), 1u);
+  EXPECT_EQ(capture.records[0].timestamp_us, 1'750'000u);
 }
 
 TEST(PcapFileTest, RejectsBadMagic) {
-  std::stringstream buffer(std::string(24, 'x'));
-  EXPECT_THROW(PcapReader reader(buffer), CsbError);
+  EXPECT_THROW(index_buffer(std::string(24, 'x')), CsbError);
+  EXPECT_THROW(index_buffer(std::string(23, '\0')), CsbError);
 }
 
 TEST(PcapFileTest, RejectsTruncatedRecord) {
-  std::stringstream buffer;
-  PcapWriter writer(buffer);
-  PcapPacket packet;
-  packet.data = build_udp_frame(spec_with_payload(10));
-  packet.orig_len = static_cast<std::uint32_t>(packet.data.size());
-  writer.write(packet);
-  std::string content = buffer.str();
-  content.resize(content.size() - 5);
-  std::stringstream truncated(content);
-  PcapReader reader(truncated);
-  PcapPacket read_back;
-  EXPECT_THROW(reader.next(read_back), CsbError);
+  // Two records; cutting 7 bytes off the end truncates the second one,
+  // and the error names the file and that record's offset.
+  std::vector<PcapPacket> packets(2);
+  for (auto& packet : packets) {
+    packet.data = build_udp_frame(spec_with_payload(10));
+    packet.orig_len = static_cast<std::uint32_t>(packet.data.size());
+  }
+  const std::string path = ::testing::TempDir() + "/csb_pcap_truncated.pcap";
+  write_pcap_file(path, packets);
+  const auto size = std::filesystem::file_size(path);
+  std::filesystem::resize_file(path, size - 7);
+  const std::uint64_t second = 24 + 16 + packets[0].data.size();
+  try {
+    (void)index_pcap_file(path);
+    FAIL() << "truncated capture accepted";
+  } catch (const CsbError& error) {
+    const std::string what = error.what();
+    EXPECT_NE(what.find(path + "@" + std::to_string(second) + ": "),
+              std::string::npos)
+        << what;
+    EXPECT_NE(what.find("truncated"), std::string::npos) << what;
+  }
+  EXPECT_THROW((void)read_pcap_file(path), CsbError);
 }
 
+// The name predates the indexed reader as the only reader; the test now
+// checks index_pcap and read_pcap_file against the packets the writer wrote.
 TEST(PcapFileTest, IndexedReaderMatchesStreamingReader) {
   std::vector<PcapPacket> packets;
   for (int i = 0; i < 60; ++i) {
@@ -271,13 +284,19 @@ TEST(PcapFileTest, IndexedReaderMatchesStreamingReader) {
   const std::string path = ::testing::TempDir() + "/csb_pcap_index_test.pcap";
   write_pcap_file(path, packets);
 
-  const IndexedPcap capture = index_pcap_file(path);
+  std::stringstream buffer;
+  {
+    PcapWriter writer(buffer);
+    for (const auto& packet : packets) writer.write(packet);
+  }
+  const IndexedPcap capture = index_buffer(buffer.str());
   ASSERT_EQ(capture.records.size(), packets.size());
+  EXPECT_EQ(index_pcap_file(path).data, capture.data);
   const auto serial = read_pcap_file(path);
   ThreadPool pool(4);
   const auto pooled = read_pcap_file(path, &pool);
-  ASSERT_EQ(serial.size(), packets.size());
-  EXPECT_EQ(serial, pooled);
+  EXPECT_EQ(serial, packets);
+  EXPECT_EQ(pooled, packets);
   for (std::size_t i = 0; i < packets.size(); ++i) {
     EXPECT_EQ(capture.packet(i), packets[i]) << "record " << i;
     EXPECT_EQ(capture.records[i].timestamp_us, packets[i].timestamp_us);

@@ -8,6 +8,7 @@
 #include "graph/graph_io.hpp"
 #include "graph/properties.hpp"
 #include "graph/property_graph.hpp"
+#include "util/byte_reader.hpp"
 #include "util/random.hpp"
 
 namespace csb {
@@ -100,7 +101,7 @@ TEST_P(IoSweepTest, BinaryRoundTripsRandomGraphExactly) {
   const PropertyGraph g = random_property_graph(GetParam());
   std::stringstream buffer;
   save_binary(g, buffer);
-  EXPECT_EQ(load_binary(buffer), g);
+  EXPECT_EQ(load_binary(byte_span(buffer.str()), "buffer"), g);
 }
 
 TEST_P(IoSweepTest, CsvRoundTripsRandomGraphExactly) {

@@ -12,6 +12,7 @@
 #include "pcap/pcap_file.hpp"
 #include "seed/seed.hpp"
 #include "trace/traffic_model.hpp"
+#include "util/byte_reader.hpp"
 #include "util/error.hpp"
 #include "util/thread_pool.hpp"
 
@@ -231,7 +232,8 @@ TEST(SeedProfileIoTest, RoundTripsExactly) {
   const SeedProfile profile = SeedProfile::analyze(graph);
   std::stringstream buffer;
   profile.save(buffer);
-  const SeedProfile loaded = SeedProfile::load(buffer);
+  const SeedProfile loaded =
+      SeedProfile::load(byte_span(buffer.str()), "buffer");
   EXPECT_TRUE(loaded == profile);
   EXPECT_EQ(loaded.seed_vertices(), profile.seed_vertices());
   // Sampling behaves identically after the round trip.
@@ -252,14 +254,35 @@ TEST(SeedProfileIoTest, FileRoundTripAndErrors) {
   EXPECT_TRUE(SeedProfile::load_file(path) == bundle.profile);
 
   std::stringstream bad("not a profile at all............");
-  EXPECT_THROW(SeedProfile::load(bad), CsbError);
+  EXPECT_THROW(SeedProfile::load(byte_span(bad.str()), "bad"), CsbError);
 
   std::stringstream truncated;
   bundle.profile.save(truncated);
   std::string bytes = truncated.str();
   bytes.resize(bytes.size() / 2);
   std::stringstream half(bytes);
-  EXPECT_THROW(SeedProfile::load(half), CsbError);
+  EXPECT_THROW(SeedProfile::load(byte_span(half.str()), "half"), CsbError);
+}
+
+TEST(SeedProfileIoTest, RejectsSupportSizeBeyondInput) {
+  // 36 bytes whose first distribution claims 2^32 (value, prob) pairs.
+  std::string bytes = "CSBP";
+  const auto append = [&bytes](auto value) {
+    bytes.append(reinterpret_cast<const char*>(&value), sizeof value);
+  };
+  append(std::uint32_t{1});        // version
+  append(std::uint64_t{10});       // seed vertices
+  append(std::uint64_t{20});       // seed edges
+  append(std::uint64_t{1} << 32);  // in-degree support size
+  append(std::uint32_t{0});
+  ASSERT_EQ(bytes.size(), 36u);
+  try {
+    (void)SeedProfile::load(byte_span(bytes), "huge.profile");
+    FAIL() << "a 2^32-pair distribution was accepted from 36 bytes";
+  } catch (const CsbError& error) {
+    EXPECT_EQ(std::string(error.what()).rfind("huge.profile@32: ", 0), 0u)
+        << error.what();
+  }
 }
 
 // ------------------------------------------------------ pool determinism

@@ -1,5 +1,5 @@
 // Unit tests for src/util: RNG, thread pool, parallel_for, formatting,
-// hashing, error macros.
+// hashing, error macros, the bounded byte reader and the number parser.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -7,6 +7,7 @@
 #include <thread>
 #include <vector>
 
+#include "util/byte_reader.hpp"
 #include "util/error.hpp"
 #include "util/flat_set.hpp"
 #include "util/format.hpp"
@@ -270,6 +271,117 @@ TEST(FormatTest, Sci) {
 }
 
 // ---------------------------------------------------------------- hash
+
+TEST(ParseNumberTest, AcceptsWholeInRangeText) {
+  EXPECT_EQ(parse_number<std::uint16_t>("65535"), 65535u);
+  EXPECT_EQ(parse_number<std::uint64_t>("18446744073709551615"),
+            ~std::uint64_t{0});
+  EXPECT_EQ(parse_number<std::uint64_t>("ff", 16), 255u);
+  EXPECT_EQ(parse_number<double>("1e3"), 1000.0);
+  EXPECT_EQ(parse_number<double>("-0.25"), -0.25);
+}
+
+TEST(ParseNumberTest, RejectsOverflowSignsTrailersAndNonFinite) {
+  EXPECT_FALSE(parse_number<std::uint16_t>("70000"));
+  EXPECT_FALSE(parse_number<std::uint64_t>("18446744073709551616"));
+  EXPECT_FALSE(parse_number<std::uint32_t>("-1"));
+  EXPECT_FALSE(parse_number<std::uint32_t>("+1"));
+  EXPECT_FALSE(parse_number<std::uint32_t>(" 1"));
+  EXPECT_FALSE(parse_number<std::uint32_t>("12abc"));
+  EXPECT_FALSE(parse_number<std::uint32_t>(""));
+  EXPECT_FALSE(parse_number<std::uint64_t>("0x10", 16));
+  EXPECT_FALSE(parse_number<double>("inf"));
+  EXPECT_FALSE(parse_number<double>("nan"));
+  EXPECT_FALSE(parse_number<double>("1e999"));
+  EXPECT_FALSE(parse_number<double>("1.5x"));
+}
+
+TEST(ParseNumberTest, FieldErrorNamesSourceLineAndField) {
+  try {
+    (void)parse_field<std::uint16_t>("70000", "flows.csv", 7, "src_port");
+    FAIL() << "70000 accepted as a u16";
+  } catch (const CsbError& error) {
+    EXPECT_STREQ(error.what(),
+                 "flows.csv:7: field 'src_port': '70000' is not an integer "
+                 "in [0, 65535]");
+  }
+}
+
+TEST(SplitFieldsTest, KeepsEmptyFields) {
+  std::vector<std::string_view> fields;
+  split_fields("a,,b,", ',', fields);
+  EXPECT_EQ(fields, (std::vector<std::string_view>{"a", "", "b", ""}));
+  split_fields("", ',', fields);
+  EXPECT_EQ(fields, (std::vector<std::string_view>{""}));
+}
+
+// ----------------------------------------------------------- byte reader
+
+/// "<name>@<offset>: " must open the error of `fn`.
+template <typename Fn>
+void expect_fails_at(Fn&& fn, const std::string& where) {
+  try {
+    fn();
+    ADD_FAILURE() << "no error, expected one at " << where;
+  } catch (const CsbError& error) {
+    EXPECT_EQ(std::string(error.what()).rfind(where + ": ", 0), 0u)
+        << error.what();
+  }
+}
+
+TEST(ByteReaderTest, ReadEndingExactlyAtTheEndPasses) {
+  const std::vector<std::uint8_t> bytes = {1, 0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 0};
+  ByteReader in(bytes, "x.bin");
+  EXPECT_EQ(in.read<std::uint64_t>(), 1u);
+  EXPECT_EQ(in.read<std::uint32_t>(), 2u);
+  EXPECT_EQ(in.offset(), 12u);
+  EXPECT_EQ(in.remaining(), 0u);
+  EXPECT_TRUE(in.read_column<std::uint64_t>(0).empty());
+}
+
+TEST(ByteReaderTest, OneBytePastTheEndThrowsWithNameAndOffset) {
+  const std::vector<std::uint8_t> bytes(11);
+  ByteReader in(bytes, "x.bin");
+  (void)in.read<std::uint64_t>();
+  expect_fails_at([&] { (void)in.read<std::uint32_t>(); }, "x.bin@8");
+  expect_fails_at([&] { in.skip(4); }, "x.bin@8");
+  expect_fails_at([&] { (void)in.read_column<std::uint16_t>(2); }, "x.bin@8");
+  EXPECT_EQ(in.offset(), 8u);  // a failed read does not advance
+}
+
+TEST(ByteReaderTest, ColumnCountWhoseByteSizeWrapsThrows) {
+  // (2^61 + 1) * 8 wraps to 8 in u64: a naive size check would pass.
+  const std::vector<std::uint8_t> bytes(16);
+  ByteReader in(bytes, "x.bin");
+  expect_fails_at(
+      [&] { (void)in.read_column<std::uint64_t>((1ULL << 61) + 1); },
+      "x.bin@0");
+  EXPECT_EQ(in.read_column<std::uint64_t>(2).size(), 2u);
+}
+
+TEST(ByteReaderTest, UnalignedReadsAndSubReaders) {
+  std::vector<std::uint8_t> bytes(1 + 8 + 4);
+  bytes[1] = 0x2a;
+  bytes[9] = 0x07;
+  ByteReader in(bytes, "x.bin");
+  in.skip(1);
+  ByteReader head = in.sub(8);  // offsets stay those of the whole input
+  EXPECT_EQ(in.offset(), 9u);
+  EXPECT_EQ(head.read<std::uint64_t>(), 0x2au);
+  expect_fails_at([&] { (void)head.read<std::uint8_t>(); }, "x.bin@9");
+  EXPECT_EQ(in.read<std::uint32_t>(), 7u);
+  expect_fails_at([&] { in.fail_at(3, "bad record"); }, "x.bin@3");
+}
+
+TEST(ByteReaderTest, ReadFileNamesAMissingPath) {
+  const std::string path = ::testing::TempDir() + "/csb_no_such_file.bin";
+  try {
+    (void)read_file(path);
+    FAIL() << "missing file read";
+  } catch (const CsbError& error) {
+    EXPECT_NE(std::string(error.what()).find(path), std::string::npos);
+  }
+}
 
 TEST(HashTest, Mix64IsInjectiveOnSample) {
   std::set<std::uint64_t> seen;

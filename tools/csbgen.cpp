@@ -13,7 +13,6 @@
 // All file formats are the library's own: .pcap (libpcap), .csv (NetFlow),
 // .bin (csb binary graph), .graphml (export).
 #include <algorithm>
-#include <charconv>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -116,30 +115,23 @@ class Args {
                                       std::uint64_t fallback) const {
     const auto it = options_.find(key);
     if (it == options_.end()) return fallback;
-    std::uint64_t value = 0;
-    const std::string& text = it->second;
-    const auto [ptr, ec] =
-        std::from_chars(text.data(), text.data() + text.size(), value);
-    if (ec != std::errc{} || ptr != text.data() + text.size()) {
-      throw UsageError("--" + key + "=" + text +
+    const auto value = parse_number<std::uint64_t>(it->second);
+    if (!value) {
+      throw UsageError("--" + key + "=" + it->second +
                        ": expected an unsigned integer");
     }
-    return value;
+    return *value;
   }
   [[nodiscard]] double get_double(const std::string& key,
                                   double fallback) const {
     const auto it = options_.find(key);
     if (it == options_.end()) return fallback;
-    double value = 0.0;
-    const std::string& text = it->second;
-    const auto [ptr, ec] =
-        std::from_chars(text.data(), text.data() + text.size(), value);
-    if (ec != std::errc{} || ptr != text.data() + text.size() ||
-        !std::isfinite(value)) {
-      throw UsageError("--" + key + "=" + text +
+    const auto value = parse_number<double>(it->second);
+    if (!value) {
+      throw UsageError("--" + key + "=" + it->second +
                        ": expected a finite number");
     }
-    return value;
+    return *value;
   }
   [[nodiscard]] bool has(const std::string& key) const {
     return options_.contains(key);
@@ -782,7 +774,7 @@ PropertyGraph load_graph(const std::string& path) {
   if (path.size() > 8 && path.substr(path.size() - 8) == ".graphml") {
     std::ifstream in(path);
     CSB_CHECK_MSG(in.is_open(), "cannot open for reading: " << path);
-    return load_graphml(in);
+    return load_graphml(in, path);
   }
   return load_binary_file(path);
 }

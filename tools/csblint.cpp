@@ -35,6 +35,7 @@
 #include "lint/lint.hpp"
 #include "lint/sarif.hpp"
 #include "util/error.hpp"
+#include "util/format.hpp"
 
 namespace fs = std::filesystem;
 
@@ -163,8 +164,14 @@ int main(int argc, char** argv) {
       } else if (arg.rfind("--compile-commands=", 0) == 0) {
         compile_commands = arg.substr(19);
       } else if (arg.rfind("--jobs=", 0) == 0) {
-        options.jobs = static_cast<std::size_t>(
-            std::stoul(arg.substr(7)));
+        const auto jobs = csb::parse_number<std::size_t>(arg.substr(7));
+        if (!jobs) {
+          std::cerr << "csblint: --jobs needs an unsigned integer, got '"
+                    << arg.substr(7) << "'\n"
+                    << kUsage;
+          return 2;
+        }
+        options.jobs = *jobs;
       } else if (arg.rfind("--format=", 0) == 0) {
         format = arg.substr(9);
         if (format != "text" && format != "sarif") {
